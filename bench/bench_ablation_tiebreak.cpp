@@ -21,10 +21,9 @@ int main(int argc, char** argv) {
   lex_options.tie_break = core::TieBreak::kLexicographic;
   StudyConfig rev_options;
   rev_options.tie_break = core::TieBreak::kReverseLexicographic;
-  core::StudyResult lex =
-      core::CorrelationStudy(&db, lex_options).Run(data.dataset);
-  core::StudyResult rev =
-      core::CorrelationStudy(&db, rev_options).Run(data.dataset);
+  io::CorpusView corpus = bench::ArenaOf(data.dataset);
+  core::StudyResult lex = core::CorrelationStudy(&db, lex_options).Run(corpus);
+  core::StudyResult rev = core::CorrelationStudy(&db, rev_options).Run(corpus);
 
   // Users whose group flips under the other tie rule.
   int64_t flipped = 0;

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   twitter::DatasetGenerator generator(&db, config);
   twitter::GeneratedData data = generator.Generate();
   core::CorrelationStudy study(&db);
-  core::StudyResult result = study.Run(data.dataset);
+  core::StudyResult result = study.Run(bench::ArenaOf(data.dataset));
 
   auto whole = core::ComputePostingProfile(data.dataset);
   if (!whole.ok()) {

@@ -276,7 +276,7 @@ int Main(int argc, char** argv) {
 
   const auto build_start = std::chrono::steady_clock::now();
   infer::InferenceIndex infer_index =
-      infer::InferenceIndex::Build(data.dataset, db);
+      infer::InferenceIndex::Build(ArenaOf(data.dataset), db);
   const double build_seconds =
       std::chrono::duration_cast<std::chrono::duration<double>>(
           std::chrono::steady_clock::now() - build_start)
@@ -327,7 +327,7 @@ int Main(int argc, char** argv) {
               "each):\n",
               args.clients, args.requests_per_client);
   core::CorrelationStudy study(&db);
-  core::StudyResult study_result = study.Run(data.dataset);
+  core::StudyResult study_result = study.Run(ArenaOf(data.dataset));
   serve::StudyIndex study_index =
       serve::StudyIndex::Build(study_result, db);
   serve::ServeOptions serve_options;

@@ -23,7 +23,6 @@
 #include "geo/reverse_geocoder.h"
 #include "io/corpus.h"
 #include "text/location_parser.h"
-#include "twitter/column_store.h"
 #include "twitter/generator.h"
 
 namespace {
@@ -115,39 +114,24 @@ void BM_DatasetGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_DatasetGeneration)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
 
-void BM_FullStudy(benchmark::State& state) {
-  const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
-  double scale = static_cast<double>(state.range(0)) / 1000.0;
-  twitter::DatasetGenerator generator(
-      &db, twitter::DatasetGenerator::KoreanConfig(scale));
-  auto data = generator.Generate();
-  core::CorrelationStudy study(&db);
-  for (auto _ : state) {
-    core::StudyResult result = study.Run(data.dataset);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.dataset.users().size()));
-}
-BENCHMARK(BM_FullStudy)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
-
-// Serial-vs-parallel comparison on the default benchmark corpus: Arg is
-// the thread count (1 = the serial code path). Thread counts beyond the
-// machine's cores measure oversubscription, not speedup.
+// Serial-vs-parallel comparison on the default benchmark corpus (the
+// generated dataset converted to an arena view): Arg is the thread count
+// (1 = one shard). Thread counts beyond the machine's cores measure
+// oversubscription, not speedup.
 void BM_FullStudyThreads(benchmark::State& state) {
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   twitter::DatasetGenerator generator(
       &db, twitter::DatasetGenerator::KoreanConfig(0.1));
-  auto data = generator.Generate();
+  io::CorpusView corpus = bench::ArenaOf(generator.Generate().dataset);
   StudyConfig options;
   options.threads = static_cast<int>(state.range(0));
   core::CorrelationStudy study(&db, options);
   for (auto _ : state) {
-    core::StudyResult result = study.Run(data.dataset);
+    core::StudyResult result = study.Run(corpus);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(data.dataset.users().size()));
+                          static_cast<int64_t>(corpus.user_count()));
   state.counters["threads"] = static_cast<double>(options.threads);
 }
 BENCHMARK(BM_FullStudyThreads)
@@ -157,9 +141,8 @@ BENCHMARK(BM_FullStudyThreads)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Full study off the mmapped v3 arena view (generated once per Arg into
-// a temp file): the zero-copy counterpart of BM_FullStudy, so the two
-// rows price the columnar path against the row-store baseline directly.
+// Full study off the mmapped v3 arena view, stream-generated once per
+// Arg into a temp file.
 void BM_FullStudyArena(benchmark::State& state) {
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
   double scale = static_cast<double>(state.range(0)) / 1000.0;
@@ -201,57 +184,6 @@ void BM_FullStudyArena(benchmark::State& state) {
   std::filesystem::remove(path, ec);
 }
 BENCHMARK(BM_FullStudyArena)->Arg(20)->Arg(100)->Unit(benchmark::kMillisecond);
-
-const twitter::Dataset& ScanCorpus() {
-  static const twitter::GeneratedData& data = *new twitter::GeneratedData(
-      [] {
-        const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
-        auto config = twitter::DatasetGenerator::KoreanConfig(0.2);
-        config.plain_tweet_sample = 0.05;  // ~100k materialized tweets
-        return twitter::DatasetGenerator(&db, config).Generate();
-      }());
-  return data.dataset;
-}
-
-void BM_ScanRowStore(benchmark::State& state) {
-  const twitter::Dataset& dataset = ScanCorpus();
-  for (auto _ : state) {
-    int64_t gps = 0;
-    SimTime latest = 0;
-    for (const twitter::Tweet& tweet : dataset.tweets()) {
-      if (tweet.gps.has_value()) {
-        ++gps;
-        latest = std::max(latest, tweet.time);
-      }
-    }
-    benchmark::DoNotOptimize(gps);
-    benchmark::DoNotOptimize(latest);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(dataset.tweets().size()));
-}
-BENCHMARK(BM_ScanRowStore);
-
-void BM_ScanColumnStore(benchmark::State& state) {
-  static const twitter::TweetColumnStore& store =
-      *new twitter::TweetColumnStore(
-          twitter::TweetColumnStore::FromDataset(ScanCorpus()));
-  for (auto _ : state) {
-    int64_t gps = 0;
-    SimTime latest = 0;
-    const auto& times = store.times();
-    store.ForEachGps([&](size_t i, const geo::LatLng&) {
-      ++gps;
-      latest = std::max(latest, times[i]);
-    });
-    benchmark::DoNotOptimize(gps);
-    benchmark::DoNotOptimize(latest);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(store.size()));
-  state.counters["bytes"] = static_cast<double>(store.MemoryBytes());
-}
-BENCHMARK(BM_ScanColumnStore);
 
 // Console output plus a side-channel collecting (name, iterations,
 // ns/op) per measured run for the --json file. Aggregate rows (mean/

@@ -49,7 +49,7 @@ double MeasureConfigMs(const twitter::Dataset& dataset,
                        core::StudyResult* result) {
   core::CorrelationStudy study(&db, config);
   auto start = std::chrono::steady_clock::now();
-  *result = study.Run(dataset);
+  *result = study.Run(ArenaOf(dataset));
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::milli>(end - start).count();
 }

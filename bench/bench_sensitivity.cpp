@@ -21,7 +21,7 @@ stir::core::StudyResult RunWith(double relocated, double geotagger,
   stir::twitter::DatasetGenerator generator(&db, config);
   auto data = generator.Generate();
   stir::core::CorrelationStudy study(&db);
-  return study.Run(data.dataset);
+  return study.Run(stir::bench::ArenaOf(data.dataset));
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include "core/study.h"
 #include "geo/admin_db.h"
+#include "io/corpus_reader.h"
 #include "obs/json.h"
 #include "twitter/generator.h"
 
@@ -40,6 +41,18 @@ inline double ScaleFromArgs(int argc, char** argv, double fallback = 1.0) {
   return fallback;
 }
 
+/// The arena view of a generated dataset (io::ArenaFromDataset, the
+/// conversion the corpus reader applies to TSV input); exits on failure.
+inline io::CorpusView ArenaOf(const twitter::Dataset& dataset) {
+  StatusOr<io::CorpusView> view = io::ArenaFromDataset(dataset);
+  if (!view.ok()) {
+    std::fprintf(stderr, "arena conversion failed: %s\n",
+                 view.status().ToString().c_str());
+    std::exit(1);
+  }
+  return std::move(view).value();
+}
+
 struct StudyRun {
   twitter::GeneratedData data;
   core::StudyResult result;
@@ -52,7 +65,7 @@ inline StudyRun RunKoreanStudy(double scale) {
       &db, twitter::DatasetGenerator::KoreanConfig(scale));
   StudyRun run{generator.Generate(), {}};
   core::CorrelationStudy study(&db);
-  run.result = study.Run(run.data.dataset);
+  run.result = study.Run(ArenaOf(run.data.dataset));
   return run;
 }
 
@@ -64,7 +77,7 @@ inline StudyRun RunLadyGagaStudy(double scale) {
       &db, twitter::DatasetGenerator::LadyGagaConfig(scale));
   StudyRun run{generator.Generate(), {}};
   core::CorrelationStudy study(&db);
-  run.result = study.Run(run.data.dataset);
+  run.result = study.Run(ArenaOf(run.data.dataset));
   return run;
 }
 

@@ -14,6 +14,7 @@
 #include "event/event_sim.h"
 #include "event/toretter.h"
 #include "geo/admin_db.h"
+#include "io/corpus_reader.h"
 #include "twitter/generator.h"
 
 int main(int argc, char** argv) {
@@ -26,8 +27,13 @@ int main(int argc, char** argv) {
   stir::twitter::DatasetGenerator generator(
       &db, stir::twitter::DatasetGenerator::KoreanConfig(scale));
   stir::twitter::GeneratedData data = generator.Generate();
+  auto corpus = stir::io::ArenaFromDataset(data.dataset);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
+    return 1;
+  }
   stir::core::CorrelationStudy study(&db);
-  stir::core::StudyResult result = study.Run(data.dataset);
+  stir::core::StudyResult result = study.Run(*corpus);
   stir::core::ReliabilityModel reliability =
       stir::core::ReliabilityModel::FromGroupings(result.groupings);
 

@@ -10,6 +10,7 @@
 #include "core/reliability.h"
 #include "core/study.h"
 #include "geo/admin_db.h"
+#include "io/corpus_reader.h"
 #include "twitter/generator.h"
 
 int main(int argc, char** argv) {
@@ -33,9 +34,15 @@ int main(int argc, char** argv) {
               static_cast<long long>(data.dataset.gps_tweet_count()),
               static_cast<long long>(data.crawl_requests));
 
-  // 2. Run the study: refinement funnel -> text-based grouping -> Top-k.
+  // 2. Convert to the arena view every study consumes, then run the
+  //    study: refinement funnel -> text-based grouping -> Top-k.
+  auto corpus = stir::io::ArenaFromDataset(data.dataset);
+  if (!corpus.ok()) {
+    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
+    return 1;
+  }
   stir::core::CorrelationStudy study(&db);
-  stir::core::StudyResult result = study.Run(data.dataset);
+  stir::core::StudyResult result = study.Run(*corpus);
 
   std::printf("=== refinement funnel (paper section III.B) ===\n%s\n",
               result.FunnelString().c_str());

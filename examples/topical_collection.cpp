@@ -11,6 +11,7 @@
 
 #include "core/study.h"
 #include "geo/admin_db.h"
+#include "io/corpus_reader.h"
 #include "twitter/api.h"
 #include "twitter/generator.h"
 
@@ -78,8 +79,13 @@ int main(int argc, char** argv) {
               static_cast<long long>(corpus.gps_tweet_count()));
 
   // --- Study -------------------------------------------------------------
+  auto view = stir::io::ArenaFromDataset(corpus);
+  if (!view.ok()) {
+    std::fprintf(stderr, "%s\n", view.status().ToString().c_str());
+    return 1;
+  }
   stir::core::CorrelationStudy study(&world);
-  stir::core::StudyResult result = study.Run(corpus);
+  stir::core::StudyResult result = study.Run(*view);
   std::printf("%s\n%s", result.FunnelString().c_str(),
               result.GroupTableString().c_str());
   return 0;

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "core/study_config.h"
 #include "io/atomic_file.h"
+#include "io/corpus.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
 
@@ -152,17 +153,20 @@ StatusOr<StudyCheckpoint> StudyCheckpoint::Deserialize(
   return checkpoint;
 }
 
-uint64_t DatasetFingerprint(const twitter::Dataset& dataset) {
+uint64_t CorpusFingerprint(const io::CorpusView& corpus) {
+  // Seeded "stir.dataset": the recipe predates the arena and hashes the
+  // same values the row-oriented dataset exposed, so checkpoints written
+  // before the view became the only study input still resume.
   uint64_t h = Fnv1a64("stir.dataset");
-  h = HashCombine(h, dataset.users().size());
-  h = HashCombine(h, static_cast<uint64_t>(dataset.total_tweet_count()));
-  h = HashCombine(h, static_cast<uint64_t>(dataset.gps_tweet_count()));
-  for (const twitter::User& user : dataset.users()) {
-    h = HashCombine(h, static_cast<uint64_t>(user.id));
-    h = HashCombine(h, static_cast<uint64_t>(user.total_tweets));
-    h = HashCombine(h, Fnv1a64(user.profile_location));
+  h = HashCombine(h, corpus.user_count());
+  h = HashCombine(h, static_cast<uint64_t>(corpus.total_tweet_count()));
+  h = HashCombine(h, static_cast<uint64_t>(corpus.gps_tweet_count()));
+  for (size_t row = 0; row < corpus.user_count(); ++row) {
+    h = HashCombine(h, static_cast<uint64_t>(corpus.user_id(row)));
+    h = HashCombine(h, static_cast<uint64_t>(corpus.user_total_tweets(row)));
+    h = HashCombine(h, Fnv1a64(corpus.user_profile_location(row)));
   }
-  h = HashCombine(h, dataset.tweets().size());
+  h = HashCombine(h, corpus.tweet_count());
   return Mix64(h);
 }
 

@@ -140,38 +140,30 @@ class RefinementPipeline {
                      geo::ReverseGeocoder* geocoder,
                      const StudyConfig& config);
 
-  /// Runs the funnel over `dataset`. `funnel` receives the accounting.
+  /// Runs the funnel over a zero-copy arena corpus (io::CorpusView — the
+  /// one corpus type; other inputs are converted at load by
+  /// io::ArenaFromDataset). `funnel` receives the accounting. The fault
+  /// key of tweet row `r` is `r` itself, which equals the tweet's dataset
+  /// index for a corpus written in dataset order.
+  ///
   /// With a non-null `pool` carrying workers, users are partitioned into
   /// contiguous shards refined in parallel and merged in shard order, so
   /// the refined vector and funnel are bit-identical to the serial run for
   /// any thread count (the geocoder must then be thread-safe, which
   /// geo::ReverseGeocoder is; a finite geocoder quota is the one knob that
   /// can make parallel results diverge, since which lookup exhausts it
-  /// becomes a race).
+  /// becomes a race). Each shard advises its consumed tweet pages away
+  /// (madvise) as it goes, keeping the resident set bounded by the shard
+  /// working set rather than the file.
   ///
   /// A non-null `checkpointer` enables crash-safe progress (DESIGN.md §9):
   /// each shard restores the checkpointed position/counters and reports
   /// every completed user back, so a killed run resumes at the last
   /// durable user boundary with byte-identical final output.
-  std::vector<RefinedUser> Run(const twitter::Dataset& dataset,
+  std::vector<RefinedUser> Run(const io::CorpusView& corpus,
                                FunnelStats* funnel,
                                common::ThreadPool* pool = nullptr,
                                StudyCheckpointer* checkpointer = nullptr) const;
-
-  /// Columnar overload: runs the same funnel over a zero-copy arena
-  /// corpus (io::CorpusView) without materializing users or tweets. The
-  /// fault key of tweet row `r` is `r` itself, which equals the tweet's
-  /// dataset index for a corpus written in dataset order — so refined
-  /// output, funnel counters, and every fault/retry charge are
-  /// byte-identical to the Dataset overload on the same corpus. Each
-  /// shard advises its consumed tweet pages away (madvise) once refined,
-  /// keeping the resident set bounded by the shard working set rather
-  /// than the file. Checkpointing is a Dataset-path feature; the view
-  /// path is for out-of-core scale where re-running a shard is cheaper
-  /// than journaling it.
-  std::vector<RefinedUser> Run(const io::CorpusView& corpus,
-                               FunnelStats* funnel,
-                               common::ThreadPool* pool = nullptr) const;
 
   /// Folds one GPS tweet: geocode (with `fault_index` as the stable fault
   /// key), degraded-mode salvage against `profile_region`, and the retry /
@@ -181,10 +173,10 @@ class RefinementPipeline {
   TweetFold FoldTweet(const twitter::Tweet& tweet, int64_t fault_index,
                       geo::RegionId profile_region) const;
 
-  /// Field overload of FoldTweet for columnar callers: `gps` and `text`
-  /// are the tweet's GPS fix and body (the only fields a fold reads), so
-  /// the view path folds straight out of the mapped columns. The Tweet
-  /// overload delegates here.
+  /// Field overload of FoldTweet: `gps` and `text` are the tweet's GPS
+  /// fix and body (the only fields a fold reads), so the batch path folds
+  /// straight out of the mapped columns. The Tweet overload delegates
+  /// here.
   TweetFold FoldTweet(const geo::LatLng& gps, std::string_view text,
                       int64_t fault_index, geo::RegionId profile_region) const;
 
@@ -207,16 +199,13 @@ class RefinementPipeline {
   geo::RegionId TextFallbackRegion(std::string_view text,
                                    geo::RegionId profile_region) const;
 
-  /// Refines one user into `out`, updating `stats`' per-user counters.
-  /// Returns true when the user survives both gates.
-  bool RefineUser(const twitter::Dataset& dataset, const twitter::User& user,
-                  FunnelStats& stats, RefinedUser* out) const;
-
-  /// Columnar twin of RefineUser: reads user row `user_row` and its CSR
-  /// tweet range straight from the mapped columns. `parse_memo` caches
-  /// parses keyed by the arena string ref — interning makes duplicate
-  /// profile strings share a ref, so each unique string parses once per
-  /// shard. Parsing is pure, so the memo cannot change any output byte.
+  /// Refines user row `user_row` into `out`, updating `stats`' per-user
+  /// counters, reading the user and its CSR tweet range straight from the
+  /// mapped columns. Returns true when the user survives both gates.
+  /// `parse_memo` caches parses keyed by the arena string ref — interning
+  /// makes duplicate profile strings share a ref, so each unique string
+  /// parses once per shard. Parsing is pure, so the memo cannot change any
+  /// output byte.
   bool RefineUser(const io::CorpusView& corpus, size_t user_row,
                   FunnelStats& stats, RefinedUser* out,
                   std::unordered_map<uint32_t, text::ParsedLocation>*

@@ -106,9 +106,7 @@ CorrelationStudy::CorrelationStudy(const geo::AdminDb* db,
                                    const StudyConfig& config)
     : db_(db), config_(config), parser_(db) {}
 
-StudyResult CorrelationStudy::RunWithEffectiveConfig(
-    const std::function<void(const StudyConfig&, StudyResult*)>& stages)
-    const {
+StudyResult CorrelationStudy::Run(const io::CorpusView& corpus) const {
   StudyResult result;
 
   // Resolve the effective observability sinks: a caller-owned instance
@@ -135,7 +133,7 @@ StudyResult CorrelationStudy::RunWithEffectiveConfig(
 
   // The stages close the "study" root span on return, so the snapshots
   // below see every span complete.
-  stages(cfg, &result);
+  RunStages(corpus, cfg, &result);
 
   if (cfg.obs.metrics != nullptr) {
     result.metrics = cfg.obs.metrics->Snapshot();
@@ -146,21 +144,7 @@ StudyResult CorrelationStudy::RunWithEffectiveConfig(
   return result;
 }
 
-StudyResult CorrelationStudy::Run(const twitter::Dataset& dataset) const {
-  return RunWithEffectiveConfig(
-      [&](const StudyConfig& cfg, StudyResult* result) {
-        RunStages(dataset, cfg, result);
-      });
-}
-
-StudyResult CorrelationStudy::Run(const io::CorpusView& corpus) const {
-  return RunWithEffectiveConfig(
-      [&](const StudyConfig& cfg, StudyResult* result) {
-        RunStages(corpus, cfg, result);
-      });
-}
-
-void CorrelationStudy::RunStages(const twitter::Dataset& dataset,
+void CorrelationStudy::RunStages(const io::CorpusView& corpus,
                                  const StudyConfig& cfg,
                                  StudyResult* result) const {
   obs::Tracer::ScopedSpan study_span(cfg.obs.tracer, "study");
@@ -200,7 +184,7 @@ void CorrelationStudy::RunStages(const twitter::Dataset& dataset,
                         << dir_status.message();
     } else {
       checkpointer = std::make_unique<StudyCheckpointer>(
-          durability, DatasetFingerprint(dataset), ConfigFingerprint(cfg));
+          durability, CorpusFingerprint(corpus), ConfigFingerprint(cfg));
       checkpointer->set_fault_injector(&injector);
       std::string journal_path =
           durability.checkpoint_dir + "/geocode.journal";
@@ -275,7 +259,7 @@ void CorrelationStudy::RunStages(const twitter::Dataset& dataset,
     result->funnel = checkpointer->restored_funnel();
     result->refined = checkpointer->TakeRestoredRefined();
   } else {
-    result->refined = pipeline.Run(dataset, &result->funnel, pool.get(),
+    result->refined = pipeline.Run(corpus, &result->funnel, pool.get(),
                                    checkpointer.get());
     if (checkpointer != nullptr && checkpointer->halted()) {
       result->incomplete = true;
@@ -292,52 +276,6 @@ void CorrelationStudy::RunStages(const twitter::Dataset& dataset,
     }
   }
   publish_io_metrics();
-  {
-    obs::Tracer::ScopedSpan grouping_span(cfg.obs.tracer, "grouping");
-    result->groupings =
-        GroupUsers(result->refined, *db_, cfg.tie_break, pool.get());
-  }
-  obs::Tracer::ScopedSpan aggregate_span(cfg.obs.tracer, "aggregate");
-  AggregateGroups(result);
-}
-
-void CorrelationStudy::RunStages(const io::CorpusView& corpus,
-                                 const StudyConfig& cfg,
-                                 StudyResult* result) const {
-  obs::Tracer::ScopedSpan study_span(cfg.obs.tracer, "study");
-
-  // Same geocoder / fault wiring as the Dataset path — the fault
-  // schedule is keyed on tweet rows, which equal dataset indices for a
-  // corpus written in dataset order, so faulty runs stay byte-identical
-  // across the two paths too.
-  geo::ReverseGeocoderOptions geocoder_options = cfg.geocoder;
-  common::FaultInjector injector(cfg.fault);
-  if (geocoder_options.fault_injector == nullptr &&
-      (injector.enabled() || injector.crash_enabled())) {
-    geocoder_options.fault_injector = &injector;
-    geocoder_options.retry = cfg.retry;
-  }
-  if (geocoder_options.metrics == nullptr) {
-    geocoder_options.metrics = cfg.obs.metrics;
-  }
-  if (geocoder_options.tracer == nullptr) {
-    geocoder_options.tracer = cfg.obs.tracer;
-    geocoder_options.trace_lookups = cfg.obs.trace_geocode_calls;
-  }
-  if (!cfg.durability.checkpoint_dir.empty()) {
-    STIR_LOG(Warning) << "checkpoint_dir is set but the columnar corpus "
-                         "path does not checkpoint; running without "
-                         "durability (re-running a mapped shard is cheaper "
-                         "than journaling it)";
-  }
-
-  geo::ReverseGeocoder geocoder(db_, geocoder_options);
-  RefinementPipeline pipeline(&parser_, &geocoder, cfg);
-  std::unique_ptr<common::ThreadPool> pool;
-  if (cfg.threads > 1) {
-    pool = std::make_unique<common::ThreadPool>(cfg.threads, cfg.obs.metrics);
-  }
-  result->refined = pipeline.Run(corpus, &result->funnel, pool.get());
   {
     obs::Tracer::ScopedSpan grouping_span(cfg.obs.tracer, "grouping");
     result->groupings =

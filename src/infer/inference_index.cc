@@ -50,9 +50,13 @@ void EvidenceBuilder::AddTweet(const twitter::Tweet& tweet) {
 }
 
 std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() const {
-  auto index = std::make_shared<InferenceIndex>();
-  index->db_ = db_;
-  index->users_.reserve(users_.size());
+  return std::make_shared<const InferenceIndex>(Assemble());
+}
+
+InferenceIndex EvidenceBuilder::Assemble() const {
+  InferenceIndex index;
+  index.db_ = db_;
+  index.users_.reserve(users_.size());
   for (const auto& [user, accum] : users_) {
     UserEvidence evidence;
     evidence.user = user;
@@ -67,23 +71,13 @@ std::shared_ptr<const InferenceIndex> EvidenceBuilder::Build() const {
               [](const RegionEvidence& a, const RegionEvidence& b) {
                 return a.region < b.region;
               });
-    index->users_.push_back(std::move(evidence));
+    index.users_.push_back(std::move(evidence));
   }
-  std::sort(index->users_.begin(), index->users_.end(),
+  std::sort(index.users_.begin(), index.users_.end(),
             [](const UserEvidence& a, const UserEvidence& b) {
               return a.user < b.user;
             });
   return index;
-}
-
-InferenceIndex InferenceIndex::Build(const twitter::Dataset& dataset,
-                                     const geo::AdminDb& db) {
-  EvidenceBuilder builder(&db);
-  for (const twitter::User& user : dataset.users()) builder.AddUser(user.id);
-  for (const twitter::Tweet& tweet : dataset.tweets()) {
-    builder.AddTweet(tweet);
-  }
-  return *builder.Build();
 }
 
 InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
@@ -105,7 +99,7 @@ InferenceIndex InferenceIndex::Build(const io::CorpusView& view,
     tweet.text.assign(view.tweet_text(row));
     builder.AddTweet(tweet);
   }
-  return *builder.Build();
+  return builder.Assemble();
 }
 
 const UserEvidence* InferenceIndex::FindUser(twitter::UserId user) const {

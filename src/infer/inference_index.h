@@ -8,7 +8,6 @@
 
 #include "geo/admin_db.h"
 #include "text/gazetteer_matcher.h"
-#include "twitter/dataset.h"
 #include "twitter/model.h"
 
 namespace stir::io {
@@ -87,6 +86,12 @@ class EvidenceBuilder {
   int64_t user_count() const { return static_cast<int64_t>(users_.size()); }
 
  private:
+  friend class InferenceIndex;
+
+  /// The snapshot Build() shares, by value (InferenceIndex::Build moves
+  /// it out instead of copying a shared one).
+  InferenceIndex Assemble() const;
+
   struct Accum {
     int64_t tweets = 0;
     std::unordered_map<geo::RegionId, RegionEvidence> regions;
@@ -103,10 +108,9 @@ class EvidenceBuilder {
 /// enters; profile strings and ground truth never do.
 class InferenceIndex {
  public:
-  /// Batch build over a row-oriented dataset.
-  static InferenceIndex Build(const twitter::Dataset& dataset,
-                              const geo::AdminDb& db);
-  /// Batch build over a zero-copy v3 corpus view (no materialization).
+  /// Batch build over a zero-copy arena corpus view (no
+  /// materialization; TSV and in-memory datasets are converted at load by
+  /// io::ArenaFromDataset).
   static InferenceIndex Build(const io::CorpusView& view,
                               const geo::AdminDb& db);
 

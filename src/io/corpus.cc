@@ -825,6 +825,15 @@ bool CorpusView::TweetRowsQuarantined(size_t begin_row,
                               text_end - text_begin);
 }
 
+twitter::User CorpusView::MaterializeUser(size_t row) const {
+  twitter::User user;
+  user.id = user_id(row);
+  user.handle = std::string(user_handle(row));
+  user.profile_location = std::string(user_profile_location(row));
+  user.total_tweets = user_total_tweets(row);
+  return user;
+}
+
 twitter::Tweet CorpusView::MaterializeTweet(size_t row) const {
   twitter::Tweet tweet;
   tweet.id = tweet_id(row);

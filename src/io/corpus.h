@@ -31,10 +31,11 @@ namespace stir::io {
 /// A self-contained, mmap-able, CRC-guarded columnar corpus: the user
 /// table, the tweet table (struct-of-arrays), a CSR user→tweet index,
 /// and one string-interned arena holding every corpus string exactly
-/// once. Unlike the v2 column store (tweets only, paired with a users
-/// TSV), a v3 file is the whole corpus; unlike both predecessors it is
-/// read zero-copy through CorpusView — no parse, no per-string
-/// allocation, resident set proportional to the touched working set.
+/// once. A v3 file is the whole corpus, read zero-copy through
+/// CorpusView — no parse, no per-string allocation, resident set
+/// proportional to the touched working set. It is the one corpus type
+/// the study, refinement and inference consume; other inputs are
+/// converted into it at load (io::ArenaFromDataset).
 ///
 /// File layout (all integers little-endian, all sections 8-byte
 /// aligned so mapped columns can be read through typed pointers):
@@ -268,8 +269,9 @@ class CorpusView {
                             arena_offsets_[id + 1] - arena_offsets_[id]);
   }
 
-  /// Materializes one tweet (tests / ad-hoc tooling; the hot paths read
-  /// columns directly).
+  /// Materialize one user / tweet (row-at-a-time consumers such as the
+  /// stream engine's ingest; the batch paths read columns directly).
+  twitter::User MaterializeUser(size_t row) const;
   twitter::Tweet MaterializeTweet(size_t row) const;
 
   /// Returns the resident pages of the tweet columns covering rows

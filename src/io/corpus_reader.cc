@@ -1,16 +1,24 @@
 #include "io/corpus_reader.h"
 
+#include <stdlib.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <string_view>
 
 #include "io/atomic_file.h"
+#include "io/fault_fs.h"
 #include "io/truth_sidecar.h"
-#include "twitter/column_store.h"
 
 namespace stir::io {
 
 namespace {
 
+/// The STIRCOL tweet column snapshot (v1 and v2), paired with a users
+/// TSV. Retired: recognized only to refuse it with a clear error.
 constexpr std::string_view kColumnV1Magic = "STIRCOL1";
 constexpr std::string_view kColumnV2Magic = "STIRCOL2";
 
@@ -26,8 +34,6 @@ const char* CorpusFormatName(CorpusFormat format) {
   switch (format) {
     case CorpusFormat::kTsv:
       return "tsv";
-    case CorpusFormat::kColumnV2:
-      return "column-v2";
     case CorpusFormat::kArenaV3:
       return "arena-v3";
   }
@@ -45,14 +51,16 @@ StatusOr<CorpusFormat> CorpusReader::SniffFormat(const std::string& path) {
   std::string_view head(magic, got);
   if (head == kCorpusMagic) return CorpusFormat::kArenaV3;
   if (head == kColumnV1Magic || head == kColumnV2Magic) {
-    return CorpusFormat::kColumnV2;
+    return Status::InvalidArgument(
+        path + " is a STIRCOL column snapshot, a retired format; "
+               "regenerate the corpus as TSV or as an arena "
+               "(stir_cli generate --corpus)");
   }
   return CorpusFormat::kTsv;
 }
 
 StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
   CorpusReader reader;
-  reader.tsv_options_ = spec.tsv;
 
   if (!spec.corpus_path.empty()) {
     if (!spec.users_path.empty() || !spec.tweets_path.empty()) {
@@ -66,10 +74,9 @@ StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
           spec.corpus_path + " is " + CorpusFormatName(format) +
           ", not a self-contained arena corpus; pass it as users/tweets");
     }
-    STIR_ASSIGN_OR_RETURN(CorpusView view,
+    STIR_ASSIGN_OR_RETURN(reader.view_,
                           CorpusView::Open(spec.corpus_path, spec.view));
     reader.format_ = CorpusFormat::kArenaV3;
-    reader.view_ = std::move(view);
     reader.truth_path_ = DetectTruthSidecar(spec.corpus_path);
     return reader;
   }
@@ -78,83 +85,52 @@ StatusOr<CorpusReader> CorpusReader::Open(const CorpusSpec& spec) {
     return Status::InvalidArgument(
         "CorpusSpec needs corpus_path or users_path+tweets_path");
   }
-  reader.truth_path_ = DetectTruthSidecar(spec.tweets_path);
   STIR_ASSIGN_OR_RETURN(CorpusFormat format, SniffFormat(spec.tweets_path));
-  switch (format) {
-    case CorpusFormat::kArenaV3:
-      return Status::InvalidArgument(
-          spec.tweets_path +
-          " is a self-contained arena corpus; pass it as corpus_path "
-          "(it already carries the user table)");
-    case CorpusFormat::kTsv: {
-      STIR_ASSIGN_OR_RETURN(
-          twitter::Dataset dataset,
-          twitter::Dataset::LoadTsv(spec.users_path, spec.tweets_path,
-                                    spec.tsv, &reader.tsv_stats_));
-      reader.format_ = CorpusFormat::kTsv;
-      reader.dataset_ = std::move(dataset);
-      return reader;
-    }
-    case CorpusFormat::kColumnV2: {
-      STIR_ASSIGN_OR_RETURN(
-          twitter::Dataset dataset,
-          twitter::Dataset::LoadUsersTsv(spec.users_path, spec.tsv,
-                                         &reader.tsv_stats_));
-      STIR_ASSIGN_OR_RETURN(twitter::TweetColumnStore store,
-                            twitter::TweetColumnStore::Load(spec.tweets_path));
-      for (size_t i = 0; i < store.size(); ++i) {
-        twitter::TweetView row = store.Get(i);
-        twitter::Tweet tweet;
-        tweet.id = row.id;
-        tweet.user = row.user;
-        tweet.time = row.time;
-        tweet.gps = row.gps;
-        tweet.text = std::string(row.text);
-        if (dataset.FindUser(tweet.user) == nullptr) {
-          if (spec.tsv.strict) {
-            return Status::InvalidArgument(
-                "column row " + std::to_string(i) + ": tweet " +
-                std::to_string(tweet.id) + " from unknown user " +
-                std::to_string(tweet.user));
-          }
-          ++reader.tsv_stats_.quarantined_tweet_rows;
-          continue;
-        }
-        dataset.AddTweet(std::move(tweet));
-      }
-      reader.format_ = CorpusFormat::kColumnV2;
-      reader.dataset_ = std::move(dataset);
-      return reader;
-    }
+  if (format == CorpusFormat::kArenaV3) {
+    return Status::InvalidArgument(
+        spec.tweets_path +
+        " is a self-contained arena corpus; pass it as corpus_path "
+        "(it already carries the user table)");
   }
-  return Status::Internal("unreachable corpus format");
+  STIR_ASSIGN_OR_RETURN(
+      twitter::Dataset dataset,
+      twitter::Dataset::LoadTsv(spec.users_path, spec.tweets_path, spec.tsv,
+                                &reader.tsv_stats_));
+  STIR_ASSIGN_OR_RETURN(reader.view_, ArenaFromDataset(dataset));
+  reader.format_ = CorpusFormat::kTsv;
+  reader.truth_path_ = DetectTruthSidecar(spec.tweets_path);
+  return reader;
 }
 
-StatusOr<const twitter::Dataset*> CorpusReader::Materialize() {
-  if (!dataset_) {
-    if (!view_) return Status::FailedPrecondition("reader holds no corpus");
-    STIR_ASSIGN_OR_RETURN(twitter::Dataset dataset,
-                          MaterializeDataset(*view_));
-    dataset_ = std::move(dataset);
+StatusOr<CorpusView> ArenaFromDataset(const twitter::Dataset& dataset) {
+  FaultFs::ScopedBypass bypass;
+  std::error_code ec;
+  std::filesystem::path dir = std::filesystem::temp_directory_path(ec);
+  if (ec) return Status::IOError("no temp directory: " + ec.message());
+  std::string path = (dir / "stir-arena-XXXXXX").string();
+  int fd = ::mkstemp(path.data());
+  if (fd < 0) {
+    return Status::IOError("mkstemp failed under " + dir.string() + ": " +
+                           std::strerror(errno));
   }
-  return &*dataset_;
-}
-
-StatusOr<twitter::Dataset> CorpusReader::TakeDataset() {
-  STIR_RETURN_IF_ERROR(Materialize().status());
-  twitter::Dataset out = std::move(*dataset_);
-  dataset_.reset();
-  return out;
+  ::close(fd);
+  StatusOr<CorpusView> view = [&]() -> StatusOr<CorpusView> {
+    CorpusWriterOptions options;
+    options.fsync = false;
+    STIR_RETURN_IF_ERROR(
+        CorpusWriter::WriteDataset(dataset, path, options).status());
+    CorpusViewOptions view_options;
+    view_options.verify_crc = false;
+    return CorpusView::Open(path, view_options);
+  }();
+  ::unlink(path.c_str());
+  return view;
 }
 
 StatusOr<twitter::Dataset> MaterializeDataset(const CorpusView& view) {
   twitter::Dataset dataset;
   for (size_t row = 0; row < view.user_count(); ++row) {
-    twitter::User user;
-    user.id = view.user_id(row);
-    user.handle = std::string(view.user_handle(row));
-    user.profile_location = std::string(view.user_profile_location(row));
-    user.total_tweets = view.user_total_tweets(row);
+    twitter::User user = view.MaterializeUser(row);
     if (dataset.FindUser(user.id) != nullptr) {
       return Status::InvalidArgument("corpus " + view.path() +
                                      ": duplicate user id " +

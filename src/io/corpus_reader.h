@@ -1,7 +1,6 @@
 #ifndef STIR_IO_CORPUS_READER_H_
 #define STIR_IO_CORPUS_READER_H_
 
-#include <optional>
 #include <string>
 
 #include "common/status.h"
@@ -10,71 +9,53 @@
 
 namespace stir::io {
 
-/// The three corpus encodings the tree has accumulated, oldest first.
+/// The on-disk corpus encodings the reader accepts.
 enum class CorpusFormat {
-  kTsv,       // users TSV + tweets TSV (the original interchange format)
-  kColumnV2,  // users TSV + STIRCOL1/2 tweet column snapshot
-  kArenaV3,   // self-contained STIRARN3 arena corpus (users + tweets)
+  kTsv,      // users TSV + tweets TSV (the human-readable interchange format)
+  kArenaV3,  // self-contained STIRARN3 arena corpus (users + tweets)
 };
 
 const char* CorpusFormatName(CorpusFormat format);
 
-/// What to open. Either `corpus_path` names a self-contained v3 file, or
-/// `users_path` + `tweets_path` name the legacy pair — where the tweets
-/// file may be TSV or a binary column snapshot; the reader sniffs file
-/// contents (magic bytes, never extensions) and picks the decoder.
+/// What to open. Either `corpus_path` names a self-contained arena file,
+/// or `users_path` + `tweets_path` name a TSV pair; the reader sniffs
+/// file contents (magic bytes, never extensions) and picks the decoder.
 struct CorpusSpec {
   std::string corpus_path;
   std::string users_path;
   std::string tweets_path;
-  /// Malformed-row handling for the TSV decoders (strict by default).
+  /// Malformed-row handling for the TSV decoder (strict by default).
   twitter::Dataset::TsvLoadOptions tsv;
-  /// v3 open options (CRC verification on by default).
+  /// Arena open options (CRC verification on by default).
   CorpusViewOptions view;
 };
 
-/// One façade over every corpus load path (DESIGN.md §14). Legacy
-/// formats are decoded into a row-oriented twitter::Dataset at Open; a
-/// v3 corpus is opened as a zero-copy CorpusView and only materialized
-/// into a Dataset on demand (the columnar study path never needs it).
+/// The one front door for corpus input (DESIGN.md §14). Every input ends
+/// up as a CorpusView, the only corpus type the study, refinement and
+/// inference read: an arena file is mapped zero-copy, and a TSV pair is
+/// decoded and converted once at Open (ArenaFromDataset).
 ///
 ///   STIR_ASSIGN_OR_RETURN(auto reader, CorpusReader::Open(spec));
-///   if (reader.has_view()) RunColumnar(reader.view());
-///   else                   RunBatch(*reader.dataset());
+///   StudyResult result = study.Run(reader.view());
 class CorpusReader {
  public:
   /// Sniffs the on-disk format of `path` from its leading bytes.
-  /// IOError when unreadable; a file with no known magic is TSV.
+  /// IOError when unreadable; InvalidArgument for a retired STIRCOL
+  /// column snapshot; a file with no known magic is TSV.
   static StatusOr<CorpusFormat> SniffFormat(const std::string& path);
 
   static StatusOr<CorpusReader> Open(const CorpusSpec& spec);
 
   CorpusFormat format() const { return format_; }
+  const CorpusView& view() const { return view_; }
 
-  /// True when a zero-copy view is available (v3 corpora).
-  bool has_view() const { return view_.has_value(); }
-  const CorpusView& view() const { return *view_; }
-
-  /// The materialized dataset, or nullptr for a v3 corpus that has not
-  /// been materialized yet.
-  const twitter::Dataset* dataset() const {
-    return dataset_ ? &*dataset_ : nullptr;
-  }
-
-  /// Materializes (for v3) and returns the row-oriented dataset.
-  StatusOr<const twitter::Dataset*> Materialize();
-
-  /// Moves the dataset out (single-use CLI loads); materializes first
-  /// when needed.
-  StatusOr<twitter::Dataset> TakeDataset();
-
-  /// Quarantine counts from the TSV decoders (zero for v3).
+  /// Quarantine counts from the TSV decoder (zero for an arena).
   const twitter::Dataset::TsvLoadStats& tsv_stats() const {
     return tsv_stats_;
   }
 
   /// True when a ground-truth sidecar (truth_sidecar.h) sits next to the
-  /// opened corpus — `<corpus>.truth`, or `<tweets>.truth` for a legacy
+  /// opened corpus — `<corpus>.truth`, or `<tweets>.truth` for a TSV
   /// pair. Surfaced so evaluation tooling (`stir_cli infer`) can score
   /// predictions without regenerating; the serving and inference layers
   /// never read it.
@@ -83,17 +64,25 @@ class CorpusReader {
 
  private:
   CorpusFormat format_ = CorpusFormat::kTsv;
-  std::optional<CorpusView> view_;
-  std::optional<twitter::Dataset> dataset_;
-  twitter::Dataset::TsvLoadOptions tsv_options_;
+  CorpusView view_;
   twitter::Dataset::TsvLoadStats tsv_stats_;
   std::string truth_path_;  ///< Empty when no sidecar was found.
 };
 
-/// Decodes a v3 view into a row-oriented Dataset (field-identical to the
-/// corpus the writer ingested, in the same order). InvalidArgument on
-/// referential corruption a crafted file could smuggle past structural
-/// checks (duplicate user ids).
+/// Converts an in-memory dataset into an arena view, for callers whose
+/// corpus is not on disk as an arena (TSV input, generated test data).
+/// The dataset is written with CorpusWriter::WriteDataset (insertion
+/// order kept, so tweet row == dataset index) to a uniquely named file
+/// under the temp directory, which is unlinked as soon as it is mapped.
+/// The write bypasses io::FaultFs and skips fsync, and the view has no
+/// verify windows: the file is process-private scratch, never durable
+/// state, so storage fault schedules apply only to real arena files.
+StatusOr<CorpusView> ArenaFromDataset(const twitter::Dataset& dataset);
+
+/// Decodes an arena view into a row-oriented Dataset (field-identical to
+/// the corpus the writer ingested, in the same order). InvalidArgument
+/// on referential corruption a crafted file could smuggle past
+/// structural checks (duplicate user ids).
 StatusOr<twitter::Dataset> MaterializeDataset(const CorpusView& view);
 
 }  // namespace stir::io

@@ -20,7 +20,17 @@ constexpr uint64_t kFsyncSalt = 0xB1F49E2C8D57A3E9ULL;
 constexpr uint64_t kEintrSalt = 0x6A95C1D24F8E7B35ULL;
 constexpr uint64_t kFlipSalt = 0xD48C2F7A1B96E5C3ULL;
 
+/// Nesting depth of FaultFs::ScopedBypass on this thread.
+thread_local int t_bypass_depth = 0;
+
 }  // namespace
+
+FaultFs::ScopedBypass::ScopedBypass() { ++t_bypass_depth; }
+FaultFs::ScopedBypass::~ScopedBypass() { --t_bypass_depth; }
+
+bool FaultFs::Active() const {
+  return enabled_.load(std::memory_order_relaxed) && t_bypass_depth == 0;
+}
 
 FaultFs& FaultFs::Instance() {
   static FaultFs* instance = new FaultFs();
@@ -72,7 +82,7 @@ FaultFsStats FaultFs::stats() const {
 }
 
 ssize_t FaultFs::Write(int fd, const void* buf, size_t count) {
-  if (!enabled_.load(std::memory_order_relaxed)) {
+  if (!Active()) {
     return ::write(fd, buf, count);
   }
   FaultFsOptions opts = options();
@@ -129,7 +139,7 @@ ssize_t FaultFs::Write(int fd, const void* buf, size_t count) {
 }
 
 int FaultFs::Fsync(int fd) {
-  if (!enabled_.load(std::memory_order_relaxed)) {
+  if (!Active()) {
     return ::fsync(fd);
   }
   FaultFsOptions opts = options();
@@ -147,7 +157,7 @@ int FaultFs::Fsync(int fd) {
 }
 
 int FaultFs::Open(const char* path, int flags, mode_t mode) {
-  if (!enabled_.load(std::memory_order_relaxed)) {
+  if (!Active()) {
     return ::open(path, flags, mode);
   }
   FaultFsOptions opts = options();
@@ -176,7 +186,7 @@ int FaultFs::Open(const char* path, int flags, mode_t mode) {
 
 size_t FaultFs::Fwrite(const void* ptr, size_t size, size_t nitems,
                        std::FILE* f) {
-  if (!enabled_.load(std::memory_order_relaxed)) {
+  if (!Active()) {
     return std::fwrite(ptr, size, nitems, f);
   }
   FaultFsOptions opts = options();

@@ -101,6 +101,20 @@ class FaultFs {
   bool enabled() const {
     return enabled_.load(std::memory_order_relaxed);
   }
+
+  /// While one is alive, the syscall wrappers on the constructing thread
+  /// forward straight to the real call: no fault-schedule index is drawn
+  /// and no byte counts toward the ENOSPC budget. For scratch files the
+  /// process writes for itself (io::ArenaFromDataset), which are not part
+  /// of the simulated disk's durable state.
+  class ScopedBypass {
+   public:
+    ScopedBypass();
+    ~ScopedBypass();
+    ScopedBypass(const ScopedBypass&) = delete;
+    ScopedBypass& operator=(const ScopedBypass&) = delete;
+  };
+
   FaultFsOptions options() const;
   FaultFsStats stats() const;
 
@@ -142,6 +156,9 @@ class FaultFs {
 
  private:
   FaultFs() = default;
+
+  /// Enabled, and not bypassed on this thread.
+  bool Active() const;
 
   mutable std::mutex mu_;
   FaultFsOptions options_;

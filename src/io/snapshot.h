@@ -10,7 +10,7 @@
 namespace stir::io {
 
 /// Single-blob durable container: the format every atomic snapshot in the
-/// tree shares (study checkpoints, the column store's v2 files).
+/// tree shares (study checkpoints).
 ///
 ///   bytes 0..7   caller-chosen 8-byte magic (file-type tag)
 ///   bytes 8..11  u32 container format version (kSnapshotFormatVersion)

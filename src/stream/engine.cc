@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <unordered_set>
 #include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "io/atomic_file.h"
+#include "io/corpus.h"
 
 namespace stir::stream {
 
@@ -246,6 +248,28 @@ Status StreamEngine::AddTweet(const twitter::Tweet& tweet,
   STIR_CHECK(opened_);
   std::lock_guard<std::mutex> lock(mu_);
   return AddTweetLocked(tweet, fault_key, /*journal=*/true);
+}
+
+Status StreamEngine::IngestCorpus(const io::CorpusView& corpus) {
+  const int64_t skip_tweets = ingested_tweets();
+  for (size_t row = 0; row < corpus.user_count(); ++row) {
+    if (HasUser(corpus.user_id(row))) continue;
+    STIR_RETURN_IF_ERROR(AddUser(corpus.MaterializeUser(row)));
+  }
+  std::vector<size_t> order(corpus.tweet_count());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    if (corpus.tweet_time(a) != corpus.tweet_time(b)) {
+      return corpus.tweet_time(a) < corpus.tweet_time(b);
+    }
+    return corpus.tweet_id(a) < corpus.tweet_id(b);
+  });
+  for (size_t i = static_cast<size_t>(std::max<int64_t>(skip_tweets, 0));
+       i < order.size(); ++i) {
+    STIR_RETURN_IF_ERROR(AddTweet(corpus.MaterializeTweet(order[i]),
+                                  static_cast<int64_t>(order[i])));
+  }
+  return Status::OK();
 }
 
 Status StreamEngine::AddUserLocked(const twitter::User& user, bool journal) {

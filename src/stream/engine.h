@@ -26,6 +26,10 @@
 #include "text/location_parser.h"
 #include "twitter/model.h"
 
+namespace stir::io {
+class CorpusView;
+}
+
 namespace stir::stream {
 
 /// Knobs for the incremental stream engine (DESIGN.md §12).
@@ -107,6 +111,16 @@ class StreamEngine : public serve::StreamBackend {
   /// the tweet's dataset index so the schedule matches the batch study);
   /// -1 auto-assigns the engine's next monotonic key. May auto-seal.
   Status AddTweet(const twitter::Tweet& tweet, int64_t fault_key = -1);
+
+  /// Ingests a whole corpus in stream order: users in row order, then
+  /// tweets in (time, id) order, each carrying its tweet row — the
+  /// dataset index of a corpus written in dataset order — as fault key,
+  /// so every sealed generation is byte-identical to a batch study over
+  /// the same prefix. Users already ingested, and the first
+  /// ingested_tweets() tweets of that order, are skipped: a resumed
+  /// engine continues where its journal left off. Stops at the first
+  /// failed ingest. May auto-seal.
+  Status IngestCorpus(const io::CorpusView& corpus);
 
   /// serve::StreamBackend: validates the whole batch first (rejected
   /// batches are applied not at all), then ingests users before tweets.

@@ -75,14 +75,13 @@ class Dataset {
                                    const TsvLoadOptions& options,
                                    TsvLoadStats* stats = nullptr);
 
+ private:
   /// Loads only the users file (same format and strict/lenient rules as
-  /// LoadTsv) into a dataset with no tweets. io::CorpusReader uses this
-  /// to pair a users TSV with a binary tweet column snapshot.
+  /// LoadTsv) into a dataset with no tweets; LoadTsv's first half.
   static StatusOr<Dataset> LoadUsersTsv(const std::string& users_path,
                                         const TsvLoadOptions& options,
-                                        TsvLoadStats* stats = nullptr);
+                                        TsvLoadStats* stats);
 
- private:
   std::vector<User> users_;
   std::vector<Tweet> tweets_;
   std::unordered_map<UserId, size_t> user_index_;

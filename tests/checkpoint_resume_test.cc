@@ -12,11 +12,13 @@
 #include <fstream>
 #include <string>
 
+#include "common/hash.h"
 #include "core/report.h"
 #include "core/study.h"
 #include "geo/geocode_journal.h"
 #include "io/atomic_file.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::core {
 namespace {
@@ -41,7 +43,7 @@ class CheckpointResumeTest : public ::testing::Test {
 
   StudyResult Run(const twitter::Dataset& dataset, const StudyConfig& config) {
     CorrelationStudy study(&db_, config);
-    return study.Run(dataset);
+    return study.Run(test::ArenaOf(dataset));
   }
 
   /// Byte-level result equality via the versioned JSON report (covers the
@@ -135,13 +137,32 @@ TEST(StudyCheckpointTest, DeserializeRejectsCorruptPayload) {
   EXPECT_FALSE(StudyCheckpoint::Deserialize(bytes + "trailing").ok());
 }
 
+/// The fingerprint recipe as it was computed over twitter::Dataset before
+/// the arena view became the only study input; checkpoints written then
+/// must keep resuming.
+uint64_t DatasetEraFingerprint(const twitter::Dataset& dataset) {
+  uint64_t h = Fnv1a64("stir.dataset");
+  h = HashCombine(h, dataset.users().size());
+  h = HashCombine(h, static_cast<uint64_t>(dataset.total_tweet_count()));
+  h = HashCombine(h, static_cast<uint64_t>(dataset.gps_tweet_count()));
+  for (const twitter::User& user : dataset.users()) {
+    h = HashCombine(h, static_cast<uint64_t>(user.id));
+    h = HashCombine(h, static_cast<uint64_t>(user.total_tweets));
+    h = HashCombine(h, Fnv1a64(user.profile_location));
+  }
+  h = HashCombine(h, dataset.tweets().size());
+  return Mix64(h);
+}
+
 TEST_F(CheckpointResumeTest, FingerprintsDetectChangedInputs) {
   twitter::GeneratedData data = Generate(0.02);
   twitter::GeneratedData other = Generate(0.03);
-  EXPECT_EQ(DatasetFingerprint(data.dataset),
-            DatasetFingerprint(data.dataset));
-  EXPECT_NE(DatasetFingerprint(data.dataset),
-            DatasetFingerprint(other.dataset));
+  io::CorpusView corpus = test::ArenaOf(data.dataset);
+  EXPECT_EQ(CorpusFingerprint(corpus),
+            CorpusFingerprint(test::ArenaOf(data.dataset)));
+  EXPECT_NE(CorpusFingerprint(corpus),
+            CorpusFingerprint(test::ArenaOf(other.dataset)));
+  EXPECT_EQ(CorpusFingerprint(corpus), DatasetEraFingerprint(data.dataset));
 
   StudyConfig config;
   uint64_t base = ConfigFingerprint(config);

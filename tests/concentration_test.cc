@@ -4,6 +4,7 @@
 
 #include "core/study.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::core {
 namespace {
@@ -101,7 +102,7 @@ TEST(ConcentrationTest, EndToEndOnSyntheticCorpus) {
       &db, twitter::DatasetGenerator::KoreanConfig(0.1));
   auto data = generator.Generate();
   CorrelationStudy study(&db);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
   auto analysis = AnalyzeConcentration(result.groupings);
   ASSERT_TRUE(analysis.ok());
   EXPECT_GT(analysis->rank_entropy_spearman, 0.3);

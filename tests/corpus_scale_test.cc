@@ -6,8 +6,9 @@
 //    writer + columnar study end to end.
 //  * ArenaAtScale (ctest -L scale) — the heavyweight lane: hundreds of
 //    thousands of users streamed to disk, studied off the mmap, and the
-//    result byte-compared against the row-store path. The scale label
-//    also runs under the ASan lane (see tests/CMakeLists.txt).
+//    result byte-compared against the in-memory dataset converted at
+//    load. The scale label also runs under the ASan lane (see
+//    tests/CMakeLists.txt).
 
 #include <gtest/gtest.h>
 
@@ -20,6 +21,7 @@
 #include "io/corpus.h"
 #include "io/corpus_reader.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::io {
 namespace {
@@ -37,7 +39,8 @@ std::filesystem::path TempPath(const std::string& name) {
   }
 
 /// Streams a Korean-preset corpus at `scale` to disk, runs the columnar
-/// study off the view, and checks it against the in-memory dataset path.
+/// study off the view, and checks it against the in-memory dataset's
+/// conversion.
 void StreamStudyAndCompare(double scale, int threads,
                            const std::string& tag) {
   const geo::AdminDb& db = geo::AdminDb::KoreanDistricts();
@@ -66,7 +69,7 @@ void StreamStudyAndCompare(double scale, int threads,
   twitter::GeneratedData data = generator.Generate();
   ASSERT_EQ(static_cast<size_t>(view->user_count()),
             data.dataset.users().size());
-  core::StudyResult from_dataset = study.Run(data.dataset);
+  core::StudyResult from_dataset = study.Run(test::ArenaOf(data.dataset));
 
   EXPECT_EQ(from_dataset.FunnelString(), from_view.FunnelString());
   EXPECT_EQ(from_dataset.GroupTableString(), from_view.GroupTableString());

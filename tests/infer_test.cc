@@ -29,9 +29,9 @@
 #include "serve/server.h"
 #include "serve/study_index.h"
 #include "stream/engine.h"
-#include "twitter/column_store.h"
 #include "twitter/dataset.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::infer {
 namespace {
@@ -331,7 +331,7 @@ class InferCorpusTest : public ::testing::Test {
     data_ = new twitter::GeneratedData(generator.Generate());
     ASSERT_GT(data_->dataset.users().size(), 100u);
     index_ = new InferenceIndex(
-        InferenceIndex::Build(data_->dataset, *db_));
+        InferenceIndex::Build(test::ArenaOf(data_->dataset), *db_));
     ASSERT_FALSE(index_->empty());
   }
   static void TearDownTestSuite() {
@@ -374,7 +374,8 @@ TEST_F(InferCorpusTest, PredictionsAreBlindToProfileStringsAndTruthSidecar) {
   for (const twitter::Tweet& tweet : data_->dataset.tweets()) {
     corrupted.AddTweet(tweet);
   }
-  InferenceIndex from_corrupted = InferenceIndex::Build(corrupted, *db_);
+  InferenceIndex from_corrupted =
+      InferenceIndex::Build(test::ArenaOf(corrupted), *db_);
   EXPECT_EQ(Fingerprint(from_corrupted), baseline_evidence);
   EXPECT_EQ(Decisions(from_corrupted, InferParams{}), baseline_decisions);
 
@@ -402,69 +403,43 @@ TEST_F(InferCorpusTest, PredictionsAreBlindToProfileStringsAndTruthSidecar) {
   spec.corpus_path = corpus_path;
   auto reader = io::CorpusReader::Open(spec);
   ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-  ASSERT_TRUE(reader->has_view());
   InferenceIndex from_corpus = InferenceIndex::Build(reader->view(), *db_);
   EXPECT_EQ(Fingerprint(from_corpus), baseline_evidence);
   EXPECT_EQ(Decisions(from_corpus, InferParams{}), baseline_decisions);
 }
 
-TEST_F(InferCorpusTest, EvidenceIsIdenticalAcrossAllThreeCorpusFormats) {
+TEST_F(InferCorpusTest, EvidenceIsIdenticalAcrossCorpusFormats) {
   std::filesystem::path dir = FreshDir("stir_infer_formats");
   const std::string baseline = Fingerprint(*index_);
 
-  // v1: the TSV interchange pair.
+  // The TSV interchange pair (converted to an arena at load).
   const std::string users_tsv = (dir / "users.tsv").string();
   const std::string tweets_tsv = (dir / "tweets.tsv").string();
   ASSERT_TRUE(data_->dataset.SaveTsv(users_tsv, tweets_tsv).ok());
 
-  // v2: users TSV + binary tweet column snapshot.
-  const std::string tweets_v2 = (dir / "tweets.cols").string();
-  ASSERT_TRUE(twitter::TweetColumnStore::FromDataset(data_->dataset)
-                  .Save(tweets_v2)
-                  .ok());
-
-  // v3: self-contained arena corpus.
+  // The self-contained arena corpus.
   const std::string corpus_v3 = (dir / "corpus.stir").string();
   ASSERT_TRUE(
       io::CorpusWriter::WriteDataset(data_->dataset, corpus_v3).ok());
 
-  struct Case {
-    const char* name;
-    io::CorpusSpec spec;
-    io::CorpusFormat format;
-  };
-  std::vector<Case> cases(3);
-  cases[0].name = "tsv";
-  cases[0].spec.users_path = users_tsv;
-  cases[0].spec.tweets_path = tweets_tsv;
-  cases[0].format = io::CorpusFormat::kTsv;
-  cases[1].name = "v2";
-  cases[1].spec.users_path = users_tsv;
-  cases[1].spec.tweets_path = tweets_v2;
-  cases[1].format = io::CorpusFormat::kColumnV2;
-  cases[2].name = "v3";
-  cases[2].spec.corpus_path = corpus_v3;
-  cases[2].format = io::CorpusFormat::kArenaV3;
-
-  for (const Case& c : cases) {
-    auto reader = io::CorpusReader::Open(c.spec);
-    ASSERT_TRUE(reader.ok()) << c.name << ": " << reader.status().ToString();
-    EXPECT_EQ(reader->format(), c.format) << c.name;
-    if (reader->has_view()) {
-      // The zero-copy path the columnar CLI uses.
-      InferenceIndex from_view = InferenceIndex::Build(reader->view(), *db_);
-      EXPECT_EQ(Fingerprint(from_view), baseline) << c.name << " (view)";
-    }
-    auto dataset = reader->Materialize();
-    ASSERT_TRUE(dataset.ok()) << c.name;
-    InferenceIndex from_rows = InferenceIndex::Build(**dataset, *db_);
-    EXPECT_EQ(Fingerprint(from_rows), baseline) << c.name << " (rows)";
+  io::CorpusSpec tsv_spec;
+  tsv_spec.users_path = users_tsv;
+  tsv_spec.tweets_path = tweets_tsv;
+  io::CorpusSpec arena_spec;
+  arena_spec.corpus_path = corpus_v3;
+  for (const io::CorpusSpec& spec : {tsv_spec, arena_spec}) {
+    auto reader = io::CorpusReader::Open(spec);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    const char* name = io::CorpusFormatName(reader->format());
+    EXPECT_EQ(Fingerprint(InferenceIndex::Build(reader->view(), *db_)),
+              baseline)
+        << name;
   }
 }
 
 TEST_F(InferCorpusTest, InferResponsesAreByteIdenticalAcrossWorkerCounts) {
   core::CorrelationStudy study(db_);
-  core::StudyResult result = study.Run(data_->dataset);
+  core::StudyResult result = study.Run(test::ArenaOf(data_->dataset));
   serve::StudyIndex study_index = serve::StudyIndex::Build(result, *db_);
 
   // Every user via every strategy, plus a miss and two typed rejections.
@@ -525,7 +500,7 @@ TEST_F(InferCorpusTest, StreamingSealsMatchBatchBuildsAndStayStable) {
   for (const twitter::User& user : users) prefix.AddUser(user);
   for (size_t i = 0; i < half; ++i) prefix.AddTweet(tweets[i]);
   EXPECT_EQ(Fingerprint(*engine.CurrentInferIndex()),
-            Fingerprint(InferenceIndex::Build(prefix, *db_)));
+            Fingerprint(InferenceIndex::Build(test::ArenaOf(prefix), *db_)));
 
   // Full-log seal == the fixture's one-shot batch index; a second seal
   // with nothing ingested republishes the identical evidence.

@@ -9,6 +9,7 @@
 #include "event/event_sim.h"
 #include "event/toretter.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir {
 namespace {
@@ -20,7 +21,7 @@ class IntegrationTest : public ::testing::Test {
         &db_, twitter::DatasetGenerator::KoreanConfig(0.15));
     data_ = generator.Generate();
     core::CorrelationStudy study(&db_);
-    result_ = study.Run(data_.dataset);
+    result_ = study.Run(test::ArenaOf(data_.dataset));
   }
 
   const geo::AdminDb& db_;
@@ -145,7 +146,7 @@ TEST_F(IntegrationTest, LadyGagaDatasetShowsWeakerLocality) {
       &world, twitter::DatasetGenerator::LadyGagaConfig(0.3));
   twitter::GeneratedData gaga = generator.Generate();
   core::CorrelationStudy study(&world);
-  core::StudyResult gaga_result = study.Run(gaga.dataset);
+  core::StudyResult gaga_result = study.Run(test::ArenaOf(gaga.dataset));
   ASSERT_GT(gaga_result.final_users, 100);
 
   double korean_top1 = result_.group(core::TopKGroup::kTop1).user_share;
@@ -163,7 +164,7 @@ TEST_F(IntegrationTest, DatasetSurvivesTsvRoundTripWithIdenticalStudy) {
   auto loaded = twitter::Dataset::LoadTsv(users_path, tweets_path);
   ASSERT_TRUE(loaded.ok());
   core::CorrelationStudy study(&db_);
-  core::StudyResult reloaded = study.Run(*loaded);
+  core::StudyResult reloaded = study.Run(test::ArenaOf(*loaded));
   EXPECT_EQ(reloaded.final_users, result_.final_users);
   for (int g = 0; g < core::kNumTopKGroups; ++g) {
     EXPECT_EQ(reloaded.groups[g].users, result_.groups[g].users) << g;

@@ -33,6 +33,7 @@
 #include "serve/server.h"
 #include "serve/study_index.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::net {
 namespace {
@@ -53,11 +54,11 @@ class NetServerTest : public ::testing::Test {
         &db, twitter::DatasetGenerator::KoreanConfig(0.05));
     twitter::GeneratedData data = generator.Generate();
     core::CorrelationStudy study(&db);
-    core::StudyResult result = study.Run(data.dataset);
+    core::StudyResult result = study.Run(test::ArenaOf(data.dataset));
     index_ = new StudyIndex(StudyIndex::Build(result, db));
     ASSERT_FALSE(index_->empty());
     infer_index_ = new infer::InferenceIndex(
-        infer::InferenceIndex::Build(data.dataset, db));
+        infer::InferenceIndex::Build(test::ArenaOf(data.dataset), db));
     ASSERT_FALSE(infer_index_->empty());
   }
   static void TearDownTestSuite() {

@@ -15,6 +15,7 @@
 #include "core/study.h"
 #include "geo/reverse_geocoder.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::core {
 namespace {
@@ -33,7 +34,7 @@ class ParallelStudyTest : public ::testing::Test {
     StudyConfig options;
     options.threads = threads;
     CorrelationStudy study(&db_, options);
-    return study.Run(dataset);
+    return study.Run(test::ArenaOf(dataset));
   }
 
   const geo::AdminDb& db_;
@@ -123,7 +124,7 @@ TEST_F(ParallelStudyTest, FaultyRunsAreBitIdenticalAcrossThreadCounts) {
   options.retry.max_attempts = 2;
 
   CorrelationStudy serial_study(&db_, options);
-  StudyResult serial = serial_study.Run(data.dataset);
+  StudyResult serial = serial_study.Run(test::ArenaOf(data.dataset));
   ASSERT_GT(serial.final_users, 0);
   // The run really was faulty.
   EXPECT_TRUE(serial.funnel.fault_injection_enabled);
@@ -134,7 +135,7 @@ TEST_F(ParallelStudyTest, FaultyRunsAreBitIdenticalAcrossThreadCounts) {
   for (int threads : {2, 8}) {
     options.threads = threads;
     CorrelationStudy parallel_study(&db_, options);
-    StudyResult parallel = parallel_study.Run(data.dataset);
+    StudyResult parallel = parallel_study.Run(test::ArenaOf(data.dataset));
     ExpectIdenticalResults(serial, parallel, threads);
     // The fault/retry/degradation accounting is part of the guarantee.
     EXPECT_EQ(serial.funnel.geocode_faulted, parallel.funnel.geocode_faulted);
@@ -150,17 +151,17 @@ TEST_F(ParallelStudyTest, FaithfulXmlPipelineIsAlsoEquivalent) {
   StudyConfig options;
   options.refinement.faithful_xml_pipeline = true;
   CorrelationStudy serial_study(&db_, options);
-  StudyResult serial = serial_study.Run(data.dataset);
+  StudyResult serial = serial_study.Run(test::ArenaOf(data.dataset));
   options.threads = 4;
   CorrelationStudy parallel_study(&db_, options);
-  StudyResult parallel = parallel_study.Run(data.dataset);
+  StudyResult parallel = parallel_study.Run(test::ArenaOf(data.dataset));
   ExpectIdenticalResults(serial, parallel, 4);
 }
 
 TEST_F(ParallelStudyTest, GroupUsersParallelMatchesSerial) {
   twitter::GeneratedData data = Generate(0.05);
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
   ASSERT_FALSE(result.refined.empty());
   common::ThreadPool pool(8);
   std::vector<UserGrouping> serial =

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "twitter/dataset.h"
+#include "test_corpus.h"
 
 namespace stir::core {
 namespace {
@@ -53,7 +54,8 @@ TEST_F(RefinementTest, FunnelCountsEveryQualityClass) {
 
   FunnelStats funnel;
   RefinementPipeline pipeline(&parser_, &geocoder_);
-  std::vector<RefinedUser> refined = pipeline.Run(dataset, &funnel);
+  std::vector<RefinedUser> refined =
+      pipeline.Run(test::ArenaOf(dataset), &funnel);
 
   EXPECT_EQ(funnel.crawled_users, 6);
   EXPECT_EQ(funnel.quality_counts[static_cast<int>(
@@ -85,7 +87,8 @@ TEST_F(RefinementTest, GeocodeFailuresCountedNotFatal) {
 
   FunnelStats funnel;
   RefinementPipeline pipeline(&parser_, &geocoder_);
-  std::vector<RefinedUser> refined = pipeline.Run(dataset, &funnel);
+  std::vector<RefinedUser> refined =
+      pipeline.Run(test::ArenaOf(dataset), &funnel);
   EXPECT_EQ(funnel.geocode_failures, 1);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_EQ(refined[0].tweet_regions.size(), 1u);
@@ -97,7 +100,7 @@ TEST_F(RefinementTest, UserWithOnlyUnGeocodableTweetsDrops) {
   dataset.AddTweet(GpsTweet(1, 1, {20.0, -150.0}));
   FunnelStats funnel;
   RefinementPipeline pipeline(&parser_, &geocoder_);
-  EXPECT_TRUE(pipeline.Run(dataset, &funnel).empty());
+  EXPECT_TRUE(pipeline.Run(test::ArenaOf(dataset), &funnel).empty());
   EXPECT_EQ(funnel.well_defined_users, 1);
   EXPECT_EQ(funnel.final_users, 0);
 }
@@ -119,8 +122,8 @@ TEST_F(RefinementTest, FaithfulXmlPipelineMatchesStructuredPath) {
   RefinementPipeline xml(&parser_, &geocoder_b, faithful);
 
   FunnelStats fa, fb;
-  auto a = structured.Run(dataset, &fa);
-  auto b = xml.Run(dataset, &fb);
+  auto a = structured.Run(test::ArenaOf(dataset), &fa);
+  auto b = xml.Run(test::ArenaOf(dataset), &fb);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].tweet_regions, b[0].tweet_regions);
@@ -132,7 +135,7 @@ TEST_F(RefinementTest, NullFunnelPointerAccepted) {
   dataset.AddUser(MakeUser(1, "Seoul Mapo-gu"));
   dataset.AddTweet(GpsTweet(1, 1, {37.5663, 126.9019}));
   RefinementPipeline pipeline(&parser_, &geocoder_);
-  EXPECT_EQ(pipeline.Run(dataset, nullptr).size(), 1u);
+  EXPECT_EQ(pipeline.Run(test::ArenaOf(dataset), nullptr).size(), 1u);
 }
 
 TEST_F(RefinementTest, TotalTweetsPreservedOnRefinedUsers) {
@@ -140,7 +143,7 @@ TEST_F(RefinementTest, TotalTweetsPreservedOnRefinedUsers) {
   dataset.AddUser(MakeUser(1, "Seoul Mapo-gu", 1234));
   dataset.AddTweet(GpsTweet(1, 1, {37.5663, 126.9019}));
   RefinementPipeline pipeline(&parser_, &geocoder_);
-  auto refined = pipeline.Run(dataset, nullptr);
+  auto refined = pipeline.Run(test::ArenaOf(dataset), nullptr);
   ASSERT_EQ(refined.size(), 1u);
   EXPECT_EQ(refined[0].total_tweets, 1234);
 }

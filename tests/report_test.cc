@@ -7,6 +7,7 @@
 #include "common/csv.h"
 #include "common/string_util.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::core {
 namespace {
@@ -18,7 +19,7 @@ class ReportTest : public ::testing::Test {
         &db_, twitter::DatasetGenerator::KoreanConfig(0.05));
     data_ = generator.Generate();
     CorrelationStudy study(&db_);
-    result_ = study.Run(data_.dataset);
+    result_ = study.Run(test::ArenaOf(data_.dataset));
   }
 
   const geo::AdminDb& db_;

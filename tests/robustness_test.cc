@@ -19,6 +19,7 @@
 #include "geo/reverse_geocoder.h"
 #include "text/location_parser.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir {
 namespace {
@@ -148,7 +149,7 @@ TEST(FailureInjectionTest, QuotaLimitedGeocoderDegradesGracefully) {
 
   // Unlimited baseline.
   core::CorrelationStudy full_study(&db);
-  core::StudyResult full = full_study.Run(data.dataset);
+  core::StudyResult full = full_study.Run(test::ArenaOf(data.dataset));
   ASSERT_GT(full.final_users, 10);
 
   // A quota far below the number of distinct GPS cells: the pipeline
@@ -156,7 +157,7 @@ TEST(FailureInjectionTest, QuotaLimitedGeocoderDegradesGracefully) {
   StudyConfig starved_options;
   starved_options.geocoder.quota = 200;
   core::CorrelationStudy starved_study(&db, starved_options);
-  core::StudyResult starved = starved_study.Run(data.dataset);
+  core::StudyResult starved = starved_study.Run(test::ArenaOf(data.dataset));
   EXPECT_GT(starved.funnel.geocode_failures, 0);
   EXPECT_LE(starved.final_users, full.final_users);
   EXPECT_GT(starved.final_users, 0);  // cache still serves repeat cells
@@ -173,7 +174,7 @@ TEST(FailureInjectionTest, StudyOnGpsFreeCorpusYieldsEmptySample) {
   twitter::GeneratedData data = generator.Generate();
   EXPECT_EQ(data.dataset.gps_tweet_count(), 0);
   core::CorrelationStudy study(&db);
-  core::StudyResult result = study.Run(data.dataset);
+  core::StudyResult result = study.Run(test::ArenaOf(data.dataset));
   EXPECT_EQ(result.final_users, 0);
   EXPECT_GT(result.funnel.well_defined_users, 0);
 }
@@ -212,7 +213,8 @@ TEST(FailureInjectionTest, FunnelCountersSumExactlyToInjectedFaults) {
   core::RefinementPipeline pipeline(&parser, &geocoder);
 
   core::FunnelStats funnel;
-  std::vector<core::RefinedUser> refined = pipeline.Run(data.dataset, &funnel);
+  std::vector<core::RefinedUser> refined =
+      pipeline.Run(test::ArenaOf(data.dataset), &funnel);
   EXPECT_FALSE(refined.empty());
   EXPECT_TRUE(funnel.fault_injection_enabled);
 

@@ -13,6 +13,7 @@
 #include "geo/admin_db.h"
 #include "gtest/gtest.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::serve {
 namespace {
@@ -29,7 +30,7 @@ class StudyIndexTest : public ::testing::Test {
         &db, twitter::DatasetGenerator::KoreanConfig(0.05));
     data_ = new twitter::GeneratedData(generator.Generate());
     core::CorrelationStudy study(&db);
-    result_ = new core::StudyResult(study.Run(data_->dataset));
+    result_ = new core::StudyResult(study.Run(test::ArenaOf(data_->dataset)));
     index_ = new StudyIndex(StudyIndex::Build(*result_, db));
   }
   static void TearDownTestSuite() {

@@ -21,6 +21,7 @@
 #include "obs/json.h"
 #include "serve/study_index.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::serve {
 namespace {
@@ -40,10 +41,10 @@ class ServeProtocolTest : public ::testing::Test {
         &db, twitter::DatasetGenerator::KoreanConfig(0.05));
     twitter::GeneratedData data = generator.Generate();
     core::CorrelationStudy study(&db);
-    core::StudyResult result = study.Run(data.dataset);
+    core::StudyResult result = study.Run(test::ArenaOf(data.dataset));
     index_ = new StudyIndex(StudyIndex::Build(result, db));
     infer_index_ = new infer::InferenceIndex(
-        infer::InferenceIndex::Build(data.dataset, db));
+        infer::InferenceIndex::Build(test::ArenaOf(data.dataset), db));
   }
   static void TearDownTestSuite() {
     delete index_;

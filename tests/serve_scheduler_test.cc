@@ -27,6 +27,7 @@
 #include "serve/server.h"
 #include "serve/study_index.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::serve {
 namespace {
@@ -43,7 +44,7 @@ class ServeSchedulerTest : public ::testing::Test {
         &db, twitter::DatasetGenerator::KoreanConfig(0.05));
     twitter::GeneratedData data = generator.Generate();
     core::CorrelationStudy study(&db);
-    core::StudyResult result = study.Run(data.dataset);
+    core::StudyResult result = study.Run(test::ArenaOf(data.dataset));
     index_ = new StudyIndex(StudyIndex::Build(result, db));
     ASSERT_FALSE(index_->empty());
   }

@@ -27,6 +27,7 @@
 #include "serve/server.h"
 #include "serve/study_index.h"
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::stream {
 namespace {
@@ -45,7 +46,7 @@ class StreamEquivalenceTest : public ::testing::Test {
     ASSERT_GT(data_->dataset.tweets().size(), 100u);
 
     core::CorrelationStudy study(db_);
-    core::StudyResult result = study.Run(data_->dataset);
+    core::StudyResult result = study.Run(test::ArenaOf(data_->dataset));
     batch_index_ =
         new serve::StudyIndex(serve::StudyIndex::Build(result, *db_));
     ASSERT_FALSE(batch_index_->empty());
@@ -234,7 +235,7 @@ TEST_F(StreamEquivalenceTest, FaultScheduleMatchesBatch) {
   faulty.retry.max_attempts = 2;
 
   core::CorrelationStudy study(db_, faulty);
-  core::StudyResult batch = study.Run(data_->dataset);
+  core::StudyResult batch = study.Run(test::ArenaOf(data_->dataset));
   serve::StudyIndex batch_faulty = serve::StudyIndex::Build(batch, *db_);
 
   for (int64_t epoch_size : {1, 13}) {

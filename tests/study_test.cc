@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "twitter/generator.h"
+#include "test_corpus.h"
 
 namespace stir::core {
 namespace {
@@ -23,7 +24,7 @@ class StudyTest : public ::testing::Test {
 TEST_F(StudyTest, SharesAndCountsAreConsistent) {
   twitter::GeneratedData data = Generate(0.05);
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
 
   int64_t user_total = 0;
   int64_t tweet_total = 0;
@@ -50,8 +51,8 @@ TEST_F(StudyTest, SharesAndCountsAreConsistent) {
 TEST_F(StudyTest, DeterministicAcrossRuns) {
   twitter::GeneratedData data = Generate(0.02);
   CorrelationStudy study(&db_);
-  StudyResult a = study.Run(data.dataset);
-  StudyResult b = study.Run(data.dataset);
+  StudyResult a = study.Run(test::ArenaOf(data.dataset));
+  StudyResult b = study.Run(test::ArenaOf(data.dataset));
   EXPECT_EQ(a.final_users, b.final_users);
   for (int g = 0; g < kNumTopKGroups; ++g) {
     EXPECT_EQ(a.groups[g].users, b.groups[g].users);
@@ -67,7 +68,7 @@ TEST_F(StudyTest, PaperShapeHoldsAtScale) {
   //  * Avg district count grows from Top-1 through Top-6+.
   twitter::GeneratedData data = Generate(0.3);
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
   ASSERT_GT(result.final_users, 200);
 
   const GroupStats* groups = result.groups;
@@ -93,7 +94,7 @@ TEST_F(StudyTest, PaperShapeHoldsAtScale) {
 TEST_F(StudyTest, FunnelShapeMatchesPaperRatios) {
   twitter::GeneratedData data = Generate(0.3);
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
   const FunnelStats& funnel = result.funnel;
   double well_defined_ratio =
       static_cast<double>(funnel.well_defined_users) /
@@ -115,7 +116,7 @@ TEST_F(StudyTest, FunnelShapeMatchesPaperRatios) {
 TEST_F(StudyTest, ReportStringsRender) {
   twitter::GeneratedData data = Generate(0.02);
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
   std::string table = result.GroupTableString();
   EXPECT_NE(table.find("Top-1"), std::string::npos);
   EXPECT_NE(table.find("None"), std::string::npos);
@@ -128,7 +129,7 @@ TEST_F(StudyTest, ReportStringsRender) {
 TEST_F(StudyTest, EmptyDatasetYieldsEmptyResult) {
   twitter::Dataset empty;
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(empty);
+  StudyResult result = study.Run(test::ArenaOf(empty));
   EXPECT_EQ(result.final_users, 0);
   EXPECT_EQ(result.funnel.crawled_users, 0);
   EXPECT_DOUBLE_EQ(result.overall_avg_locations, 0.0);
@@ -137,7 +138,7 @@ TEST_F(StudyTest, EmptyDatasetYieldsEmptyResult) {
 TEST_F(StudyTest, GroupAccessorMatchesArray) {
   twitter::GeneratedData data = Generate(0.02);
   CorrelationStudy study(&db_);
-  StudyResult result = study.Run(data.dataset);
+  StudyResult result = study.Run(test::ArenaOf(data.dataset));
   EXPECT_EQ(result.group(TopKGroup::kTop1).users, result.groups[0].users);
   EXPECT_EQ(result.group(TopKGroup::kNone).users, result.groups[6].users);
 }
@@ -153,12 +154,14 @@ TEST_F(StudyTest, StudyConfigCarriesFaultAndRetryKnobs) {
   config.retry.max_attempts = 2;
   EXPECT_FALSE(config.obs.metrics_enabled());
 
-  StudyResult result = CorrelationStudy(&db_, config).Run(data.dataset);
+  StudyResult result =
+      CorrelationStudy(&db_, config).Run(test::ArenaOf(data.dataset));
   EXPECT_TRUE(result.funnel.fault_injection_enabled);
   EXPECT_GT(result.funnel.geocode_faulted, 0);
 
   StudyConfig copy = config;
-  StudyResult again = CorrelationStudy(&db_, copy).Run(data.dataset);
+  StudyResult again =
+      CorrelationStudy(&db_, copy).Run(test::ArenaOf(data.dataset));
   EXPECT_EQ(result.FunnelString(), again.FunnelString());
   EXPECT_EQ(result.GroupTableString(), again.GroupTableString());
 }
@@ -169,13 +172,14 @@ TEST_F(StudyTest, ObservabilityDoesNotPerturbResults) {
   twitter::GeneratedData data = Generate(0.02);
   StudyConfig plain;
   plain.threads = 4;
-  StudyResult baseline = CorrelationStudy(&db_, plain).Run(data.dataset);
+  StudyResult baseline =
+      CorrelationStudy(&db_, plain).Run(test::ArenaOf(data.dataset));
 
   StudyConfig observed = plain;
   observed.obs.enable_metrics = true;
   observed.obs.enable_trace = true;
   StudyResult instrumented =
-      CorrelationStudy(&db_, observed).Run(data.dataset);
+      CorrelationStudy(&db_, observed).Run(test::ArenaOf(data.dataset));
 
   EXPECT_EQ(baseline.FunnelString(), instrumented.FunnelString());
   EXPECT_EQ(baseline.GroupTableString(), instrumented.GroupTableString());
@@ -192,7 +196,8 @@ TEST_F(StudyTest, MetricsDropCountersMatchFunnel) {
   config.obs.enable_metrics = true;
   config.fault.error_rate = 0.2;
   config.fault.seed = 7;
-  StudyResult result = CorrelationStudy(&db_, config).Run(data.dataset);
+  StudyResult result =
+      CorrelationStudy(&db_, config).Run(test::ArenaOf(data.dataset));
   const obs::MetricsSnapshot& m = result.metrics;
   const FunnelStats& funnel = result.funnel;
 
@@ -222,7 +227,8 @@ TEST_F(StudyTest, TraceCoversPipelineStages) {
   StudyConfig config;
   config.threads = 4;
   config.obs.enable_trace = true;
-  StudyResult result = CorrelationStudy(&db_, config).Run(data.dataset);
+  StudyResult result =
+      CorrelationStudy(&db_, config).Run(test::ArenaOf(data.dataset));
   const obs::TraceSnapshot& trace = result.trace;
   EXPECT_EQ(trace.CountNamed("study"), 1);
   EXPECT_EQ(trace.CountNamed("refinement"), 1);
@@ -237,7 +243,8 @@ TEST_F(StudyTest, TraceCoversPipelineStages) {
 
   // The coarse tier alone when per-lookup spans are off.
   config.obs.trace_geocode_calls = false;
-  StudyResult coarse = CorrelationStudy(&db_, config).Run(data.dataset);
+  StudyResult coarse =
+      CorrelationStudy(&db_, config).Run(test::ArenaOf(data.dataset));
   EXPECT_EQ(coarse.trace.CountNamed("geocode"), 0);
   EXPECT_EQ(coarse.trace.CountNamed("study"), 1);
 }

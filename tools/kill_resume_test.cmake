@@ -3,7 +3,8 @@
 # from the checkpoint directory, and byte-compares the resumed report.json
 # against an uninterrupted run. Also covers torn journal tails, fault
 # injection across the crash, threaded runs, journal-only (no checkpoint)
-# zero-quota resumes, and corrupt-durable-state degradation.
+# zero-quota resumes, corrupt-durable-state degradation, and the same
+# crash/resume rows on an arena corpus (--corpus).
 
 set(CRASH_EXIT 42)
 
@@ -34,6 +35,42 @@ function(prepare_dirs name)
   file(MAKE_DIRECTORY ${WORK_DIR}/${name}_ckpt ${WORK_DIR}/${name}_report)
 endfunction()
 
+# Uninterrupted run of the study command in ARGN, reported into
+# ${WORK_DIR}/${name}_report.
+function(clean_run name)
+  file(REMOVE_RECURSE ${WORK_DIR}/${name}_report)
+  file(MAKE_DIRECTORY ${WORK_DIR}/${name}_report)
+  run_cli(rc out err ${ARGN} --report-dir ${WORK_DIR}/${name}_report)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name}: clean run failed (${rc}): ${err}")
+  endif()
+endfunction()
+
+# Crashes the checkpointed study command in ARGN after `crash_at` geocode
+# lookups, resumes it, and byte-compares the resumed report.json with
+# `baseline`.
+function(crash_and_resume name crash_at baseline)
+  prepare_dirs(${name})
+  run_cli(rc out err ${ARGN}
+          --checkpoint-dir ${WORK_DIR}/${name}_ckpt
+          --checkpoint-every 16 --crash-after ${crash_at})
+  if(NOT rc EQUAL ${CRASH_EXIT})
+    message(FATAL_ERROR "${name}: --crash-after ${crash_at} exited ${rc}, "
+            "expected ${CRASH_EXIT}: ${out} ${err}")
+  endif()
+  if(NOT EXISTS ${WORK_DIR}/${name}_ckpt/geocode.journal)
+    message(FATAL_ERROR "${name}: crash left no geocode journal")
+  endif()
+  run_cli(rc out err ${ARGN}
+          --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
+          --report-dir ${WORK_DIR}/${name}_report)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${name}: resume failed (${rc}): ${err}")
+  endif()
+  expect_same_report(${name} ${baseline}
+                     ${WORK_DIR}/${name}_report/report.json)
+endfunction()
+
 set(USERS ${WORK_DIR}/kr_users.tsv)
 set(TWEETS ${WORK_DIR}/kr_tweets.tsv)
 run_cli(rc out err generate --preset korean --scale 0.05
@@ -45,39 +82,14 @@ endif()
 set(STUDY study --users ${USERS} --tweets ${TWEETS})
 
 # Uninterrupted baseline (no durability flags at all).
-file(REMOVE_RECURSE ${WORK_DIR}/kr_clean_report)
-file(MAKE_DIRECTORY ${WORK_DIR}/kr_clean_report)
-run_cli(rc clean_out err ${STUDY} --report-dir ${WORK_DIR}/kr_clean_report)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "clean baseline failed (${rc}): ${err}")
-endif()
+clean_run(kr_clean ${STUDY})
 set(CLEAN_REPORT ${WORK_DIR}/kr_clean_report/report.json)
 
 # --- Crash/resume at three distinct crash points -----------------------
 # The 0.05-scale corpus issues well over 1000 geocode lookups, so these
 # land early, mid, and late in the refinement stage.
 foreach(crash_at 40 300 700)
-  set(name kr_crash_${crash_at})
-  prepare_dirs(${name})
-  run_cli(rc out err ${STUDY}
-          --checkpoint-dir ${WORK_DIR}/${name}_ckpt
-          --checkpoint-every 16 --crash-after ${crash_at})
-  if(NOT rc EQUAL ${CRASH_EXIT})
-    message(FATAL_ERROR "--crash-after ${crash_at} exited ${rc}, "
-            "expected ${CRASH_EXIT}: ${out} ${err}")
-  endif()
-  if(NOT EXISTS ${WORK_DIR}/${name}_ckpt/geocode.journal)
-    message(FATAL_ERROR "crash at ${crash_at} left no geocode journal")
-  endif()
-
-  run_cli(rc out err ${STUDY}
-          --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
-          --report-dir ${WORK_DIR}/${name}_report)
-  if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "resume after crash at ${crash_at} failed (${rc}): ${err}")
-  endif()
-  expect_same_report("crash at ${crash_at}"
-                     ${CLEAN_REPORT} ${WORK_DIR}/${name}_report/report.json)
+  crash_and_resume(kr_crash_${crash_at} ${crash_at} ${CLEAN_REPORT} ${STUDY})
 endforeach()
 
 # --- Torn journal tail -------------------------------------------------
@@ -107,48 +119,36 @@ expect_same_report("torn journal tail"
 # The injector's sequence position is checkpointed, so the resumed faulty
 # run must reproduce the uninterrupted faulty run exactly.
 set(FAULTY --fault-rate 0.2 --fault-seed 7 --retry-max 2)
-file(REMOVE_RECURSE ${WORK_DIR}/kr_faulty_clean_report)
-file(MAKE_DIRECTORY ${WORK_DIR}/kr_faulty_clean_report)
-run_cli(rc out err ${STUDY} ${FAULTY}
-        --report-dir ${WORK_DIR}/kr_faulty_clean_report)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "faulty baseline failed (${rc}): ${err}")
-endif()
-set(name kr_faulty)
-prepare_dirs(${name})
-run_cli(rc out err ${STUDY} ${FAULTY}
-        --checkpoint-dir ${WORK_DIR}/${name}_ckpt
-        --checkpoint-every 16 --crash-after 300)
-if(NOT rc EQUAL ${CRASH_EXIT})
-  message(FATAL_ERROR "faulty crash run exited ${rc}: ${out} ${err}")
-endif()
-run_cli(rc out err ${STUDY} ${FAULTY}
-        --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
-        --report-dir ${WORK_DIR}/${name}_report)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "faulty resume failed (${rc}): ${err}")
-endif()
-expect_same_report("faulty crash/resume"
-                   ${WORK_DIR}/kr_faulty_clean_report/report.json
-                   ${WORK_DIR}/${name}_report/report.json)
+clean_run(kr_faulty_clean ${STUDY} ${FAULTY})
+crash_and_resume(kr_faulty 300 ${WORK_DIR}/kr_faulty_clean_report/report.json
+                 ${STUDY} ${FAULTY})
 
 # --- Threaded crash/resume ---------------------------------------------
-set(name kr_threaded)
-prepare_dirs(${name})
-run_cli(rc out err ${STUDY} --threads 4
-        --checkpoint-dir ${WORK_DIR}/${name}_ckpt
-        --checkpoint-every 16 --crash-after 300)
-if(NOT rc EQUAL ${CRASH_EXIT})
-  message(FATAL_ERROR "threaded crash run exited ${rc}: ${out} ${err}")
-endif()
-run_cli(rc out err ${STUDY} --threads 4
-        --checkpoint-dir ${WORK_DIR}/${name}_ckpt --resume
-        --report-dir ${WORK_DIR}/${name}_report)
+crash_and_resume(kr_threaded 300 ${CLEAN_REPORT} ${STUDY} --threads 4)
+
+# --- Arena corpus (--corpus) -------------------------------------------
+# The same corpus written as an arena: checkpointing runs on the view the
+# study reads, so every crash/resume row above holds for --corpus too,
+# and the arena's clean report equals the TSV pair's.
+set(ARENA ${WORK_DIR}/kr.corpus)
+run_cli(rc out err generate --preset korean --scale 0.05 --corpus ${ARENA})
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "threaded resume failed (${rc}): ${err}")
+  message(FATAL_ERROR "generate --corpus failed (${rc}): ${out} ${err}")
 endif()
-expect_same_report("threaded crash/resume"
-                   ${CLEAN_REPORT} ${WORK_DIR}/${name}_report/report.json)
+set(ARENA_STUDY study --corpus ${ARENA})
+clean_run(kr_arena_clean ${ARENA_STUDY})
+set(ARENA_REPORT ${WORK_DIR}/kr_arena_clean_report/report.json)
+expect_same_report("arena vs TSV clean run" ${CLEAN_REPORT} ${ARENA_REPORT})
+foreach(crash_at 40 300 700)
+  crash_and_resume(kr_arena_crash_${crash_at} ${crash_at} ${ARENA_REPORT}
+                   ${ARENA_STUDY})
+endforeach()
+crash_and_resume(kr_arena_threaded 300 ${ARENA_REPORT}
+                 ${ARENA_STUDY} --threads 4)
+clean_run(kr_arena_faulty_clean ${ARENA_STUDY} ${FAULTY})
+crash_and_resume(kr_arena_faulty 300
+                 ${WORK_DIR}/kr_arena_faulty_clean_report/report.json
+                 ${ARENA_STUDY} ${FAULTY})
 
 # --- Zero-quota resumes ------------------------------------------------
 # Complete a checkpointed run, then resume with a zero geocoder quota:

@@ -47,7 +47,6 @@
 #include "obs/metrics.h"
 #include "stream/engine.h"
 #include "text/location_parser.h"
-#include "twitter/api.h"
 #include "twitter/generator.h"
 
 namespace {
@@ -400,7 +399,7 @@ int RunStudy(int argc, char** argv) {
   std::vector<Flag> flags = {
       {"users", "FILE", "input users TSV",
        [&](const std::string& v) { users_path = v; return true; }},
-      {"tweets", "FILE", "input tweets TSV or column snapshot",
+      {"tweets", "FILE", "input tweets TSV",
        [&](const std::string& v) { tweets_path = v; return true; }},
       {"corpus", "FILE",
        "input self-contained v3 arena corpus (alternative to "
@@ -719,24 +718,11 @@ int RunStudy(int argc, char** argv) {
     config.obs.metrics->GetCounter("io.dataset.quarantined")
         ->Increment(load_stats.quarantined());
   }
-  // The stream engine ingests row-oriented tweets; everything else can
-  // run zero-copy off a v3 view.
-  const stir::twitter::Dataset* dataset = nullptr;
-  if (stream_mode || !reader->has_view()) {
-    auto materialized = reader->Materialize();
-    if (!materialized.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   materialized.status().ToString().c_str());
-      return 1;
-    }
-    dataset = *materialized;
-  }
-
   stir::core::StudyResult result;
   if (stream_mode) {
     // Incremental path: ingest the corpus through the stream engine (users
-    // in dataset order, tweets in time order with dataset-index fault
-    // keys), then snapshot through the same grouping/aggregation stages
+    // in row order, tweets in time order with tweet-row fault keys), then
+    // snapshot through the same grouping/aggregation stages
     // the batch pipeline runs — byte-identical stdout and reports.
     stir::obs::Tracer cli_tracer;
     if (config.obs.enable_trace && config.obs.tracer == nullptr) {
@@ -754,22 +740,7 @@ int RunStudy(int argc, char** argv) {
                    status.ToString().c_str());
       return 1;
     }
-    const int64_t skip_tweets = engine.ingested_tweets();
-    for (const stir::twitter::User& user : dataset->users()) {
-      if (engine.HasUser(user.id)) continue;
-      status = engine.AddUser(user);
-      if (!status.ok()) break;
-    }
-    if (status.ok()) {
-      stir::twitter::StreamingApi api(dataset);
-      int64_t delivered = 0;
-      api.Replay(
-          [&](size_t dataset_index, const stir::twitter::Tweet& tweet) {
-            if (!status.ok() || delivered++ < skip_tweets) return;
-            status =
-                engine.AddTweet(tweet, static_cast<int64_t>(dataset_index));
-          });
-    }
+    status = engine.IngestCorpus(reader->view());
     if (!status.ok()) {
       std::fprintf(stderr, "stream ingest failed: %s\n",
                    status.ToString().c_str());
@@ -792,8 +763,7 @@ int RunStudy(int argc, char** argv) {
     }
   } else {
     stir::core::CorrelationStudy study(&db, config);
-    result = reader->has_view() ? study.Run(reader->view())
-                                : study.Run(*dataset);
+    result = study.Run(reader->view());
   }
   std::printf("%s\n%s\n%s", result.FunnelString().c_str(),
               result.GroupTableString().c_str(),
@@ -868,7 +838,7 @@ int RunInfer(int argc, char** argv) {
   std::vector<Flag> flags = {
       {"users", "FILE", "input users TSV",
        [&](const std::string& v) { users_path = v; return true; }},
-      {"tweets", "FILE", "input tweets TSV or column snapshot",
+      {"tweets", "FILE", "input tweets TSV",
        [&](const std::string& v) { tweets_path = v; return true; }},
       {"corpus", "FILE",
        "input self-contained v3 arena corpus (alternative to "
@@ -994,21 +964,10 @@ int RunInfer(int argc, char** argv) {
     return 1;
   }
 
-  // Build the evidence index from tweets only — over the zero-copy view
-  // when the corpus is v3, else over the materialized dataset. Profile
-  // strings and the truth records never reach this layer.
-  stir::infer::InferenceIndex index;
-  if (reader->has_view()) {
-    index = stir::infer::InferenceIndex::Build(reader->view(), db);
-  } else {
-    auto materialized = reader->Materialize();
-    if (!materialized.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   materialized.status().ToString().c_str());
-      return 1;
-    }
-    index = stir::infer::InferenceIndex::Build(**materialized, db);
-  }
+  // Build the evidence index from tweets only, over the zero-copy view.
+  // Profile strings and the truth records never reach this layer.
+  stir::infer::InferenceIndex index =
+      stir::infer::InferenceIndex::Build(reader->view(), db);
 
   std::vector<stir::infer::StrategyEval> evals;
   if (strategy_name.empty()) {

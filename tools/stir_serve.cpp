@@ -39,8 +39,6 @@
 #include "serve/server.h"
 #include "serve/study_index.h"
 #include "stream/engine.h"
-#include "twitter/api.h"
-#include "twitter/dataset.h"
 
 namespace {
 
@@ -223,7 +221,7 @@ int main(int argc, char** argv) {
   std::vector<Flag> flags = {
       {"users", "FILE", "input users TSV",
        [&](const std::string& v) { users_path = v; return true; }},
-      {"tweets", "FILE", "input tweets TSV or column snapshot",
+      {"tweets", "FILE", "input tweets TSV",
        [&](const std::string& v) { tweets_path = v; return true; }},
       {"corpus", "FILE",
        "input self-contained v3 arena corpus (alternative to "
@@ -605,18 +603,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "stir_serve: lenient load quarantined %lld rows\n",
                  static_cast<long long>(reader->tsv_stats().quarantined()));
   }
-  // The stream engine ingests row-oriented tweets; the batch study runs
-  // zero-copy off a v3 view.
-  const stir::twitter::Dataset* dataset = nullptr;
-  if (!degraded && (stream_mode || !reader->has_view())) {
-    auto materialized = reader->Materialize();
-    if (!materialized.ok()) {
-      std::fprintf(stderr, "stir_serve: load failed: %s\n",
-                   materialized.status().ToString().c_str());
-      return 1;
-    }
-    dataset = *materialized;
-  }
   stir::obs::MetricsRegistry metrics;
   serve_options.metrics = &metrics;
 
@@ -643,27 +629,10 @@ int main(int argc, char** argv) {
                    status.ToString().c_str());
       return 1;
     }
-    // Pre-ingest the corpus in stream order: users in dataset order, then
-    // tweets in time order carrying their dataset indices as fault keys,
-    // so every sealed generation is byte-identical to a batch study over
-    // the same prefix. A resumed engine skips whatever its journal
-    // already replayed.
-    const int64_t skip_tweets = engine->ingested_tweets();
-    for (const stir::twitter::User& user : dataset->users()) {
-      if (engine->HasUser(user.id)) continue;
-      status = engine->AddUser(user);
-      if (!status.ok()) break;
-    }
-    if (status.ok()) {
-      stir::twitter::StreamingApi api(dataset);
-      int64_t delivered = 0;
-      api.Replay(
-          [&](size_t dataset_index, const stir::twitter::Tweet& tweet) {
-            if (!status.ok() || delivered++ < skip_tweets) return;
-            status =
-                engine->AddTweet(tweet, static_cast<int64_t>(dataset_index));
-          });
-    }
+    // Pre-ingest the corpus in stream order (a resumed engine skips
+    // whatever its journal already replayed), so every sealed generation
+    // is byte-identical to a batch study over the same prefix.
+    status = engine->IngestCorpus(reader->view());
     if (!status.ok()) {
       std::fprintf(stderr, "stir_serve: stream ingest failed: %s\n",
                    status.ToString().c_str());
@@ -688,21 +657,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "stir_serve: degraded index — 0 users\n");
   } else {
     stir::core::CorrelationStudy study(&db, config);
-    stir::core::StudyResult result = reader->has_view()
-                                         ? study.Run(reader->view())
-                                         : study.Run(*dataset);
+    stir::core::StudyResult result = study.Run(reader->view());
     if (result.incomplete) {
       std::fprintf(stderr,
                    "stir_serve: study did not complete; refusing to serve\n");
       return 1;
     }
     batch_index = stir::serve::StudyIndex::Build(result, db);
-    // The inference twin reads the same corpus (zero-copy off a v3 view)
-    // but only tweet evidence — never profile strings (DESIGN.md §16).
-    batch_infer_index =
-        reader->has_view()
-            ? stir::infer::InferenceIndex::Build(reader->view(), db)
-            : stir::infer::InferenceIndex::Build(*dataset, db);
+    // The inference twin reads the same corpus view but only tweet
+    // evidence — never profile strings (DESIGN.md §16).
+    batch_infer_index = stir::infer::InferenceIndex::Build(reader->view(), db);
     serve_options.infer_index = &batch_infer_index;
     std::fprintf(stderr,
                  "stir_serve: index ready — %zu users, %zu districts, "
